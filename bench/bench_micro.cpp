@@ -170,22 +170,16 @@ holms::markov::Dtmc birth_death_chain(std::size_t n) {
   return d;
 }
 
-// Both sparsity modes now execute the same exec::simd CSR kernels (the
-// dense O(n^2) sweeps are gone); this tracks that the kDense request path
-// carries no residual overhead over an explicit kSparse request.
-void BM_StationarySparsity(benchmark::State& state) {
-  const auto d = birth_death_chain(static_cast<std::size_t>(state.range(1)));
-  holms::markov::SolveOptions opts;
-  opts.sparsity = state.range(0) != 0 ? holms::markov::SparsityMode::kSparse
-                                      : holms::markov::SparsityMode::kDense;
+// Power-iteration stationary solve of a birth-death chain: CSR built from
+// the chain's sparse rows, then the exec::simd kernels.
+void BM_Stationary(benchmark::State& state) {
+  const auto d = birth_death_chain(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = d.steady_state(opts);
+    auto r = d.steady_state();
     benchmark::DoNotOptimize(r.distribution.data());
   }
 }
-BENCHMARK(BM_StationarySparsity)
-    ->ArgsProduct({{0, 1}, {128, 512, 1024}})
-    ->ArgNames({"sparse", "states"});
+BENCHMARK(BM_Stationary)->Arg(128)->Arg(512)->Arg(1024)->ArgName("states");
 
 void BM_JacksonSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -256,12 +250,10 @@ double sa_moves_per_s(bool full) {
 }
 
 // Stationary solve wall time at n states (power iteration, birth-death).
-double stationary_seconds(std::size_t n, holms::markov::SparsityMode mode) {
+double stationary_seconds(std::size_t n) {
   const auto d = birth_death_chain(n);
-  holms::markov::SolveOptions opts;
-  opts.sparsity = mode;
   const auto t0 = std::chrono::steady_clock::now();
-  auto r = d.steady_state(opts);
+  auto r = d.steady_state();
   benchmark::DoNotOptimize(r.distribution.data());
   return seconds_since(t0);
 }
@@ -314,7 +306,6 @@ holms::markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
 double threaded_solve_seconds(const holms::markov::Dtmc& d,
                               std::size_t threads) {
   holms::markov::SolveOptions opts;
-  opts.sparsity = holms::markov::SparsityMode::kSparse;
   opts.parallel_min_states = 256;
   opts.parallel_min_nnz = 1024;
   opts.threads = threads;
@@ -518,11 +509,9 @@ void headline_metrics(holms::bench::BenchReport& report) {
   std::printf("-- SA moves/s: full %.3g, incremental %.3g (%.2fx)\n", full,
               inc, inc / full);
 
-  // Both sparsity modes run the same exec::simd CSR kernels now; only the
-  // CSR wall time is a headline.  BM_StationarySparsity still tracks the
-  // dense-request parity in the google-benchmark tables.
-  const double sparse =
-      stationary_seconds(512, holms::markov::SparsityMode::kSparse);
+  // The key keeps its historical name so bench/history.jsonl stays
+  // continuous.
+  const double sparse = stationary_seconds(512);
   report.set("stationary_sparse_s_n512", sparse);
   std::printf("-- stationary n=512 (CSR): %.3gs\n", sparse);
 

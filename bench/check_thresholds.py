@@ -9,7 +9,8 @@ their own section use the top-level "min" block.  Every key under the
 selected "min" must be present in the report (top level) and >= the
 threshold; every key under "max" must be present and <= the threshold
 (used by the "lint" section to pin graph_rules_findings and
-stale_suppressions at zero).  Exits non-zero listing all violations.
+stale_suppressions at zero and to ratchet src_code_lines).  Exits non-zero
+listing all violations.
 
 A section may also carry a "min_if" list of conditional gates:
 
@@ -79,9 +80,9 @@ HEADLINE_KEYS = {
         "wall_time_s",
     ],
     "lint": [
+        "src_code_lines",
         "files",
         "files_per_s",
-        "lint_ms",
         "graph_build_ms",
         "total_findings",
         "graph_rules_findings",

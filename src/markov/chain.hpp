@@ -12,6 +12,12 @@
 //   - Gauss–Seidel          faster convergence on diagonally dominant systems
 //   - direct LU             exact (up to fp), O(n^3), small chains
 //
+// Chains store their transitions as sparse rows (column-sorted entries), so
+// building and stepping a chain costs O(nnz), not O(n^2): queueing chains
+// touch a handful of neighbours per state.  The iterative solvers run the
+// CSR kernels of markov/sparse.hpp; only the direct LU solve and
+// absorbing_analysis densify, on demand.
+//
 // Once the stationary distribution is known, "different performance measures
 // such as throughput, response time, power consumption, etc. can be easily
 // derived" — see `expected_reward`.
@@ -29,8 +35,8 @@ class ThreadPool;
 
 namespace holms::markov {
 
-/// Dense row-major matrix; small helper sufficient for chain analysis
-/// (state spaces here are 10^2..10^4).
+/// Dense row-major matrix for the direct LU solve, absorbing analysis and
+/// Jackson routing (state spaces there are 10^2..10^3).
 class Matrix {
  public:
   Matrix() = default;
@@ -48,24 +54,21 @@ class Matrix {
   std::vector<double> data_;
 };
 
-enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU };
+/// One stored transition of a chain row.
+struct RowEntry {
+  std::size_t col = 0;
+  double value = 0.0;
+};
 
-/// Matrix representation for the iterative solvers.  kAuto picks CSR when the
-/// chain is both large and sparse (see sparse_min_states / sparse_max_density)
-/// — the sparse kernels produce bitwise-identical iterates, so this is purely
-/// a speed decision.  kDirectLU always runs dense.
-enum class SparsityMode { kAuto, kDense, kSparse };
+/// A sparse chain row: entries in strictly increasing column order.
+using SparseRow = std::vector<RowEntry>;
+
+enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU };
 
 struct SolveOptions {
   SteadyStateMethod method = SteadyStateMethod::kPowerIteration;
   std::size_t max_iterations = 200000;
   double tolerance = 1e-12;  // L1 change per sweep
-  SparsityMode sparsity = SparsityMode::kAuto;
-  /// kAuto thresholds: go sparse when size >= sparse_min_states AND the
-  /// nonzero density is <= sparse_max_density.  Below ~64 states the dense
-  /// sweep fits in cache and the CSR indirection isn't worth building.
-  std::size_t sparse_min_states = 64;
-  double sparse_max_density = 0.25;
 
   /// Parallel sharding of the CSR kernels (DESIGN.md §5g).  The sharded
   /// fixed-grid kernels engage whenever n >= parallel_min_states AND
@@ -89,10 +92,6 @@ struct SolveOptions {
     if (!(tolerance > 0.0)) {
       throw holms::InvalidArgument("SolveOptions: tolerance must be > 0");
     }
-    if (!(sparse_max_density >= 0.0 && sparse_max_density <= 1.0)) {
-      throw holms::InvalidArgument(
-          "SolveOptions: sparse_max_density must be in [0, 1]");
-    }
   }
 };
 
@@ -100,18 +99,20 @@ struct SolveResult {
   std::vector<double> distribution;  // stationary probabilities, sums to 1
   std::size_t iterations = 0;        // 0 for direct methods
   bool converged = false;
-  bool used_sparse = false;          // solved via the CSR kernels
 };
 
 /// Discrete-time Markov chain over states 0..n-1 with row-stochastic
 /// transition matrix P.
 class Dtmc {
  public:
-  explicit Dtmc(std::size_t n) : p_(n, n) {}
+  explicit Dtmc(std::size_t n) : rows_(n) {}
 
-  std::size_t size() const { return p_.rows(); }
+  std::size_t size() const { return rows_.size(); }
+  /// Sets P[from][to] = prob.  Throws holms::OutOfRange for a state index
+  /// >= size() and holms::InvalidArgument for prob outside [0, 1].
   void set(std::size_t from, std::size_t to, double prob);
-  double get(std::size_t from, std::size_t to) const { return p_.at(from, to); }
+  /// P[from][to] (0 when never set); throws holms::OutOfRange like set().
+  double get(std::size_t from, std::size_t to) const;
 
   /// Validates that every row sums to 1 within `tol`.
   bool is_stochastic(double tol = 1e-9) const;
@@ -119,31 +120,37 @@ class Dtmc {
   /// Stationary distribution pi = pi * P.
   SolveResult steady_state(const SolveOptions& opts = {}) const;
 
-  /// n-step transient distribution starting from `initial`.
+  /// n-step transient distribution starting from `initial`, which must hold
+  /// size() entries (holms::InvalidArgument otherwise).
   std::vector<double> transient(std::span<const double> initial,
                                 std::size_t steps) const;
 
  private:
-  Matrix p_;
+  std::vector<SparseRow> rows_;
 };
 
 /// Continuous-time Markov chain with generator matrix Q (off-diagonal rates;
 /// diagonal maintained automatically as -(row sum)).
 class Ctmc {
  public:
-  explicit Ctmc(std::size_t n) : q_(n, n) {}
+  explicit Ctmc(std::size_t n) : rows_(n) {}
 
-  std::size_t size() const { return q_.rows(); }
-  /// Sets the transition rate from -> to (from != to, rate >= 0).
+  std::size_t size() const { return rows_.size(); }
+  /// Sets the transition rate from -> to.  Throws holms::OutOfRange for a
+  /// state index >= size() and holms::InvalidArgument for from == to (the
+  /// diagonal is derived) or a rate that is not >= 0.
   void set_rate(std::size_t from, std::size_t to, double rate);
-  double rate(std::size_t from, std::size_t to) const { return q_.at(from, to); }
+  /// Off-diagonal rate (0 when never set, and on the diagonal); throws
+  /// holms::OutOfRange like set_rate().
+  double rate(std::size_t from, std::size_t to) const;
   /// Total exit rate of a state.
   double exit_rate(std::size_t s) const;
 
   /// Stationary distribution solving pi * Q = 0, sum(pi) = 1.
   SolveResult steady_state(const SolveOptions& opts = {}) const;
 
-  /// Transient distribution at time t via uniformization.
+  /// Transient distribution at time t via uniformization; `initial` must
+  /// hold size() entries (holms::InvalidArgument otherwise).
   std::vector<double> transient(std::span<const double> initial, double t,
                                 double truncation_eps = 1e-10) const;
 
@@ -151,7 +158,7 @@ class Ctmc {
   Dtmc uniformized(double* lambda_out = nullptr) const;
 
  private:
-  Matrix q_;
+  std::vector<SparseRow> rows_;  // off-diagonal rates only
 };
 
 /// Expected reward sum_i pi_i * reward(i): the paper's bridge from the

@@ -52,28 +52,30 @@ exec::ThreadPool* resolve_pool(const SolveOptions& opts,
 
 }  // namespace
 
-CsrMatrix CsrMatrix::from_dense(const Matrix& a) {
-  CsrMatrix m;
-  m.rows_ = a.rows();
-  m.cols_ = a.cols();
-  m.offsets_.reserve(m.rows_ + 1);
-  m.offsets_.push_back(0);
+CsrMatrix::CsrMatrix(std::size_t cols, std::span<const SparseRow> rows)
+    : rows_(rows.size()), cols_(cols) {
   std::size_t nnz = 0;
-  for (std::size_t r = 0; r < m.rows_; ++r)
-    for (std::size_t c = 0; c < m.cols_; ++c)
-      if (a.at(r, c) != 0.0) ++nnz;
-  m.cols_idx_.reserve(nnz);
-  m.vals_.reserve(nnz);
-  for (std::size_t r = 0; r < m.rows_; ++r) {
-    for (std::size_t c = 0; c < m.cols_; ++c) {
-      const double v = a.at(r, c);
-      if (v == 0.0) continue;
-      m.cols_idx_.push_back(static_cast<std::uint32_t>(c));
-      m.vals_.push_back(v);
+  for (const SparseRow& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (row[i].col >= cols || (i > 0 && row[i].col <= row[i - 1].col)) {
+        throw holms::InvalidArgument(
+            "CsrMatrix: row columns must be increasing and below cols");
+      }
+      if (row[i].value != 0.0) ++nnz;
     }
-    m.offsets_.push_back(m.vals_.size());
   }
-  return m;
+  offsets_.reserve(rows_ + 1);
+  offsets_.push_back(0);
+  cols_idx_.reserve(nnz);
+  vals_.reserve(nnz);
+  for (const SparseRow& row : rows) {
+    for (const RowEntry& e : row) {
+      if (e.value == 0.0) continue;
+      cols_idx_.push_back(static_cast<std::uint32_t>(e.col));
+      vals_.push_back(e.value);
+    }
+    offsets_.push_back(vals_.size());
+  }
 }
 
 double CsrMatrix::density() const {
@@ -111,7 +113,6 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
                                    const SolveOptions& opts) {
   const std::size_t n = p.rows();
   SolveResult res;
-  res.used_sparse = true;
   if (n == 0) return res;
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(n, 0.0);
@@ -157,7 +158,6 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
 SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   const std::size_t n = p.rows();
   SolveResult res;
-  res.used_sparse = true;
   if (n == 0) return res;
   // Column sweeps need column access: work on the transpose, with the
   // diagonal split out (the sweep skips r == c and divides by 1 - p_cc).

@@ -6,12 +6,10 @@
 // Jackson-network product-form chains touch only a handful of neighbors per
 // state.  These CSR kernels are O(nnz) per sweep, SIMD-vectorized through
 // exec::simd (fixed 8-lane reduction order, bitwise identical across
-// HOLMS_SIMD=off/avx2/neon — see exec/simd.hpp), and since this PR they are
-// the ONLY iterative engine: Dtmc::steady_state builds a CsrMatrix for the
-// dense representation too, so kDense and kSparse produce bitwise identical
-// results by construction (`used_sparse` still reports which representation
-// the heuristic picked).  These entry points are public for tests and
-// benchmarks that want to pin one representation.
+// HOLMS_SIMD=off/avx2/neon — see exec/simd.hpp), and they are the only
+// iterative engine: Dtmc::steady_state builds a CsrMatrix straight from the
+// chain's sparse rows.  The entry points are public for tests and
+// benchmarks.
 
 #include <cstdint>
 #include <span>
@@ -23,14 +21,17 @@
 namespace holms::markov {
 
 /// Compressed-sparse-row matrix over double.  Entries within a row are stored
-/// in increasing column order (from_dense scans row-major), which is what the
-/// bitwise-equivalence argument above relies on.
+/// in increasing column order, the order the simd kernels' per-column
+/// reductions rely on.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Drops exact zeros; keeps everything else.
-  static CsrMatrix from_dense(const Matrix& a);
+  /// Builds a rows.size() x cols matrix from column-sorted sparse rows,
+  /// dropping exact zeros and keeping every other entry in row order.
+  /// Throws holms::InvalidArgument when a row's columns are not strictly
+  /// increasing or not below `cols`.
+  CsrMatrix(std::size_t cols, std::span<const SparseRow> rows);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -40,8 +40,7 @@ NocSim::NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng)
     r.vc_owner.assign(kNumPorts * v, -1);
   }
   if (cfg_.routing == RoutingAlgo::kFaultTolerant) {
-    ft_on_demand_ = mesh_.num_tiles() >= cfg_.ft_on_demand_min_tiles;
-    rebuild_ft_tables();
+    ft_tables_.resize(mesh_.num_tiles());
   }
 }
 
@@ -98,7 +97,7 @@ void NocSim::set_link_up(TileId t, Dir d, bool up) {
     collect(nb, entry_port(d));
     purge_packets(doomed);
   }
-  if (cfg_.routing == RoutingAlgo::kFaultTolerant) rebuild_ft_tables();
+  ++ft_epoch_;  // every FT admit table is stale now
 }
 
 void NocSim::set_router_up(TileId t, bool up) {
@@ -139,7 +138,7 @@ void NocSim::set_router_up(TileId t, bool up) {
     for (const Flit& fl : source_[t].queue) doomed.insert(fl.packet);
     purge_packets(doomed);
   }
-  if (cfg_.routing == RoutingAlgo::kFaultTolerant) rebuild_ft_tables();
+  ++ft_epoch_;  // every FT admit table is stale now
 }
 
 void NocSim::apply_fault_event(const fault::FaultEvent& e) {
@@ -229,20 +228,6 @@ bool NocSim::move_legal(TileId t_from, Dir in_from, Dir move) const {
   return true;
 }
 
-void NocSim::rebuild_ft_tables() {
-  if (ft_on_demand_) {
-    // Large mesh: no O(T^2 * 5) table.  Bumping the epoch turns every cached
-    // per-destination table stale; each is recomputed lazily on next use.
-    ++ft_epoch_;
-    return;
-  }
-  const std::size_t T = mesh_.num_tiles();
-  ft_admit_.assign(T * T * kNumPorts, 0);
-  for (TileId dst = 0; dst < T; ++dst) {
-    compute_ft_admit(dst, ft_admit_.data() + dst * T * kNumPorts);
-  }
-}
-
 void NocSim::compute_ft_admit(TileId dst, std::uint8_t* admit) const {
   const std::size_t T = mesh_.num_tiles();
   constexpr std::uint32_t kInf = 0xffffffffu;
@@ -298,41 +283,14 @@ void NocSim::compute_ft_admit(TileId dst, std::uint8_t* admit) const {
 }
 
 const std::uint8_t* NocSim::ft_table_for(TileId dst) const {
-  // MRU shortcut: consecutive route_admits calls overwhelmingly share dst.
-  if (ft_mru_ < ft_cache_.size()) {
-    FtCacheEntry& e = ft_cache_[ft_mru_];
-    if (e.dst == dst && e.epoch == ft_epoch_) {
-      e.last_use = ++ft_cache_tick_;
-      return e.admit.data();
-    }
+  FtTable& t = ft_tables_[dst];
+  if (t.epoch != ft_epoch_) {
+    exec::count("noc.ft_bfs_on_demand");
+    t.admit.resize(mesh_.num_tiles() * kNumPorts);
+    compute_ft_admit(dst, t.admit.data());
+    t.epoch = ft_epoch_;
   }
-  for (std::size_t i = 0; i < ft_cache_.size(); ++i) {
-    FtCacheEntry& e = ft_cache_[i];
-    if (e.dst == dst && e.epoch == ft_epoch_) {
-      e.last_use = ++ft_cache_tick_;
-      ft_mru_ = i;
-      return e.admit.data();
-    }
-  }
-  // Miss (cold or stale epoch): BFS into a fresh or least-recently-used slot.
-  exec::count("noc.ft_bfs_on_demand");
-  std::size_t slot = ft_cache_.size();
-  if (slot < kFtCacheCapacity) {
-    ft_cache_.emplace_back();
-  } else {
-    slot = 0;
-    for (std::size_t i = 1; i < ft_cache_.size(); ++i) {
-      if (ft_cache_[i].last_use < ft_cache_[slot].last_use) slot = i;
-    }
-  }
-  FtCacheEntry& e = ft_cache_[slot];
-  e.dst = dst;
-  e.epoch = ft_epoch_;
-  e.last_use = ++ft_cache_tick_;
-  e.admit.assign(mesh_.num_tiles() * kNumPorts, 0);
-  compute_ft_admit(dst, e.admit.data());
-  ft_mru_ = slot;
-  return e.admit.data();
+  return t.admit.data();
 }
 
 void NocSim::add_flow(const Flow& f) {
@@ -422,10 +380,8 @@ bool NocSim::route_admits(TileId here, TileId dst, Dir out,
     return mesh_.xy_next(here, dst) == out;
   }
   if (cfg_.routing == RoutingAlgo::kFaultTolerant) {
-    const std::uint8_t* admit =
-        ft_on_demand_ ? ft_table_for(dst)
-                      : ft_admit_.data() + dst * mesh_.num_tiles() * kNumPorts;
-    const std::uint8_t mask = admit[here * kNumPorts + port_of(in_port)];
+    const std::uint8_t mask =
+        ft_table_for(dst)[here * kNumPorts + port_of(in_port)];
     return (mask >> port_of(out)) & 1u;
   }
   // West-first turn model: any westward progress must happen before other

@@ -76,12 +76,12 @@ enum class RoutingAlgo {
                   // all westward hops first, then adapt among the productive
                   // east/north/south outputs by downstream buffer space
   kFaultTolerant, // odd-even turn-model adaptive routing over the *live*
-                  // subgraph: per-destination BFS route tables rebuilt on
-                  // every fault/repair event detour around dead links and
-                  // routers, possibly non-minimally (counted as
-                  // reroute_hops), while the static odd-even turn
-                  // prohibitions keep every reachable configuration
-                  // deadlock-free (DESIGN.md §5e)
+                  // subgraph: per-destination BFS admit tables, computed
+                  // lazily on first use after each fault/repair event,
+                  // detour around dead links and routers, possibly
+                  // non-minimally (counted as reroute_hops), while the
+                  // static odd-even turn prohibitions keep every reachable
+                  // configuration deadlock-free (DESIGN.md §5e)
 };
 
 /// The cycle-driven mesh network.
@@ -99,13 +99,6 @@ class NocSim {
     /// whole packet dropped and counted, so a blackhole never wedges the
     /// cycle loop or starves the VCs behind it.
     std::uint32_t head_stall_drop_cycles = 1024;
-    /// kFaultTolerant admit-mask memory: meshes with at least this many tiles
-    /// skip the O(tiles^2 * 5) precomputed table and run per-destination
-    /// reverse BFS on demand, caching results in a small LRU keyed by fault
-    /// epoch (every fault/repair event starts a new epoch).  Routes are
-    /// identical either way; only the memory/latency trade-off moves.  The
-    /// default flips at 32x32.
-    std::size_t ft_on_demand_min_tiles = 1024;
   };
 
   NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng);
@@ -193,16 +186,12 @@ class NocSim {
   /// True iff the odd-even turn model admits moving in direction `move` out
   /// of `t_from` for a worm that entered via `in_from`, over live links only.
   bool move_legal(TileId t_from, Dir in_from, Dir move) const;
-  /// Rebuilds the kFaultTolerant per-destination admit masks (BFS over the
-  /// (tile, in_port) state graph on live links honoring the turn model).
-  /// In on-demand mode this only bumps ft_epoch_, invalidating the LRU.
-  void rebuild_ft_tables();
-  /// One destination's reverse BFS: fills `admit` (num_tiles * kNumPorts
-  /// masks).  Shared verbatim by the full-table and on-demand paths so their
-  /// routes are identical by construction.
+  /// One destination's reverse BFS over the (tile, in_port) state graph on
+  /// live links honoring the turn model: fills `admit` (num_tiles *
+  /// kNumPorts output-direction masks).
   void compute_ft_admit(TileId dst, std::uint8_t* admit) const;
-  /// On-demand mode: current-epoch admit table for `dst` from the LRU,
-  /// recomputed via compute_ft_admit on a miss.
+  /// Current-epoch admit table for `dst`, recomputed via compute_ft_admit on
+  /// first use after a fault/repair event.
   const std::uint8_t* ft_table_for(TileId dst) const;
 
   const Mesh2D& mesh_;
@@ -218,23 +207,17 @@ class NocSim {
   fault::FaultInjector injector_;
   std::vector<std::uint8_t> link_up_;    // per directed link; empty = armed off
   std::vector<std::uint8_t> router_up_;  // per tile; empty = armed off
-  // kFaultTolerant admit masks: [(dst*T + tile)*kNumPorts + in_port] -> 5-bit
-  // output-direction mask.  Rebuilt only on fault/repair events.  Empty in
-  // on-demand mode, where ft_cache_ holds per-destination tables instead.
-  std::vector<std::uint8_t> ft_admit_;
-  bool ft_on_demand_ = false;       // num_tiles >= cfg.ft_on_demand_min_tiles
-  std::uint64_t ft_epoch_ = 0;      // bumped per fault/repair; stale = miss
-  struct FtCacheEntry {
-    TileId dst = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t last_use = 0;     // LRU clock; evict the minimum
-    std::vector<std::uint8_t> admit;  // num_tiles * kNumPorts masks
+  // kFaultTolerant admit masks per destination: admit[tile*kNumPorts +
+  // in_port] -> 5-bit output-direction mask, valid while epoch == ft_epoch_.
+  // Every fault/repair event bumps ft_epoch_, so a table is recomputed only
+  // for destinations a head flit asks about afterwards.
+  struct FtTable {
+    std::uint64_t epoch = 0;  // 0 = never computed (ft_epoch_ starts at 1)
+    std::vector<std::uint8_t> admit;
   };
-  static constexpr std::size_t kFtCacheCapacity = 64;
-  // route_admits() is const and hot, so the cache bookkeeping is mutable.
-  mutable std::vector<FtCacheEntry> ft_cache_;
-  mutable std::uint64_t ft_cache_tick_ = 0;
-  mutable std::size_t ft_mru_ = 0;  // last hit — checked before the scan
+  std::uint64_t ft_epoch_ = 1;
+  // route_admits() is const and hot, so the lazily filled tables are mutable.
+  mutable std::vector<FtTable> ft_tables_;  // indexed by destination tile
   // BFS scratch reused across compute_ft_admit calls.
   mutable std::vector<std::uint32_t> ft_dist_;
   mutable std::vector<std::uint32_t> ft_queue_;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/ambient.hpp"
 #include "core/explorer.hpp"
@@ -189,11 +191,58 @@ TEST(NocFault, SameScheduleSameSeedBitwiseIdentical) {
   EXPECT_DOUBLE_EQ(a.delivery_ratio, b.delivery_ratio);
 }
 
-TEST(NocFault, OnDemandFtTablesRouteIdenticallyToPrecomputed) {
-  // The on-demand reverse-BFS + LRU path (meshes >= ft_on_demand_min_tiles)
-  // must reproduce the precomputed-table routes exactly: force it on at 8x8
-  // and compare every stats field bitwise against the default table mode,
-  // under a fault schedule that crosses several epochs.
+// Every NocStats field of one reference run, pinned bit for bit.
+struct PinnedNocStats {
+  std::uint64_t packets_injected;
+  std::uint64_t packets_delivered;
+  std::uint64_t flit_hops;
+  double mean_packet_latency;
+  double p99_packet_latency;
+  double mean_buffer_occupancy;
+  double accepted_flits_per_cycle;
+  double energy_joules;
+  double energy_per_bit_pj;
+  std::uint64_t packets_dropped;
+  double delivery_ratio;
+  std::uint64_t reroute_hops;
+  std::uint64_t faults_applied;
+};
+
+void expect_pinned(const holms::noc::NocStats& s, const PinnedNocStats& p) {
+  EXPECT_EQ(s.packets_injected, p.packets_injected);
+  EXPECT_EQ(s.packets_delivered, p.packets_delivered);
+  EXPECT_EQ(s.flit_hops, p.flit_hops);
+  EXPECT_EQ(s.mean_packet_latency, p.mean_packet_latency);
+  EXPECT_EQ(s.p99_packet_latency, p.p99_packet_latency);
+  EXPECT_EQ(s.mean_buffer_occupancy, p.mean_buffer_occupancy);
+  EXPECT_EQ(s.accepted_flits_per_cycle, p.accepted_flits_per_cycle);
+  EXPECT_EQ(s.energy_joules, p.energy_joules);
+  EXPECT_EQ(s.energy_per_bit_pj, p.energy_per_bit_pj);
+  EXPECT_EQ(s.packets_dropped, p.packets_dropped);
+  EXPECT_EQ(s.delivery_ratio, p.delivery_ratio);
+  EXPECT_EQ(s.reroute_hops, p.reroute_hops);
+  EXPECT_EQ(s.faults_applied, p.faults_applied);
+}
+
+// 8000-cycle kFaultTolerant replay of 0.02 packets/cycle/tile uniform traffic
+// (4-flit packets) under `sched`.
+holms::noc::NocStats run_ft_replay(const holms::noc::Mesh2D& mesh,
+                                   const FaultSchedule& sched) {
+  holms::noc::NocSim sim(mesh, noc_cfg(holms::noc::RoutingAlgo::kFaultTolerant),
+                         Rng(99));
+  add_pattern_flows(sim, mesh, holms::noc::TrafficPattern::kUniformRandom,
+                    0.02, 4);
+  sim.attach_fault_schedule(&sched);
+  sim.run(8000);
+  return sim.stats();
+}
+
+TEST(NocFault, FtRoutingMatchesPinnedAllDestinationTables) {
+  // The pinned stats come from the eager router, which rebuilt the admit
+  // table of every destination on each fault/repair event.  The lazy
+  // per-destination tables recompute only what head flits ask for, so they
+  // must route bit for bit the same under a schedule crossing several
+  // fault epochs.
   const holms::noc::Mesh2D mesh(8, 8);
   std::vector<FaultEvent> trace;
   for (std::size_t i = 0; i < mesh.num_undirected_links(); i += 20) {
@@ -202,30 +251,13 @@ TEST(NocFault, OnDemandFtTablesRouteIdenticallyToPrecomputed) {
   }
   trace.push_back({3000.0, FaultKind::kFail, Target::kNode, 27});
   const auto sched = FaultSchedule::from_trace(trace);
-
-  auto run = [&](std::size_t min_tiles) {
-    auto cfg = noc_cfg(holms::noc::RoutingAlgo::kFaultTolerant);
-    cfg.ft_on_demand_min_tiles = min_tiles;
-    holms::noc::NocSim sim(mesh, cfg, Rng(99));
-    add_pattern_flows(sim, mesh, holms::noc::TrafficPattern::kUniformRandom,
-                      0.02, 4);
-    sim.attach_fault_schedule(&sched);
-    sim.run(8000);
-    return sim.stats();
-  };
-  const auto table = run(1024);   // default: 64 tiles < 1024 -> full table
-  const auto lazy = run(1);       // forced on-demand + LRU
-  EXPECT_GT(table.faults_applied, 0u);
-  EXPECT_EQ(table.packets_injected, lazy.packets_injected);
-  EXPECT_EQ(table.packets_delivered, lazy.packets_delivered);
-  EXPECT_EQ(table.packets_dropped, lazy.packets_dropped);
-  EXPECT_EQ(table.flit_hops, lazy.flit_hops);
-  EXPECT_EQ(table.reroute_hops, lazy.reroute_hops);
-  EXPECT_EQ(table.faults_applied, lazy.faults_applied);
-  EXPECT_DOUBLE_EQ(table.mean_packet_latency, lazy.mean_packet_latency);
-  EXPECT_DOUBLE_EQ(table.p99_packet_latency, lazy.p99_packet_latency);
-  EXPECT_DOUBLE_EQ(table.energy_joules, lazy.energy_joules);
-  EXPECT_DOUBLE_EQ(table.delivery_ratio, lazy.delivery_ratio);
+  const auto s = run_ft_replay(mesh, sched);
+  EXPECT_GT(s.faults_applied, 0u);
+  expect_pinned(s, {10316, 9884, 213528, 0x1.a9ca559337d7ap+6,
+                    0x1.938a3d70a3d7p+10, 0x1.08116872b020fp-1,
+                    0x1.ab0e560418937p+4, 0x1.6490f8b7a5d3dp-16,
+                    0x1.6646fad6cf9c4p+4, 299, 0x1.ea8f233d0c02cp-1, 205,
+                    13});
 }
 
 TEST(NocFault, FaultTolerantSustainsDeliveryWhereXyBlackholes) {
@@ -979,17 +1011,16 @@ TEST(ExploreFault, SloScoresAreThreadCountInvariant) {
 
 // ---------- NoC row bursts ----------
 
-TEST(NocFault, RowBurstOnDemandMatchesTableBitwise) {
-  // A cable-bundle domain owning every horizontal link of two mesh rows:
-  // one burst severs whole rows at once, and the on-demand FT path must
-  // reroute identically to the precomputed tables.
-  const holms::noc::Mesh2D mesh(8, 8);
+// A cable-bundle domain per mesh row 3 and 5, each owning every horizontal
+// link of its row: one burst severs a whole row at once.
+FaultSchedule row_burst_schedule(const holms::noc::Mesh2D& mesh) {
+  const std::size_t per_row = mesh.width() - 1;
   FailureDomainTree tree("mesh");
   const auto bundle3 = tree.add_domain(FailureDomainTree::kRoot, "row3");
   const auto bundle5 = tree.add_domain(FailureDomainTree::kRoot, "row5");
-  for (std::size_t i = 0; i < 7; ++i) {
-    tree.map_target(Target::kLink, 3 * 7 + i, bundle3);  // row-3 horizontals
-    tree.map_target(Target::kLink, 5 * 7 + i, bundle5);
+  for (std::size_t i = 0; i < per_row; ++i) {
+    tree.map_target(Target::kLink, 3 * per_row + i, bundle3);
+    tree.map_target(Target::kLink, 5 * per_row + i, bundle5);
   }
   FaultSchedule::BurstSpec spec;
   spec.domains = {bundle3, bundle5};
@@ -999,32 +1030,38 @@ TEST(NocFault, RowBurstOnDemandMatchesTableBitwise) {
   spec.repair_stagger = 500.0;
   spec.horizon = 8000.0;
   spec.crews = 2;
-  const auto sched = FaultSchedule::bursts(33, tree, spec);
-  ASSERT_FALSE(sched.empty());
+  return FaultSchedule::bursts(33, tree, spec);
+}
 
-  auto run = [&](std::size_t min_tiles) {
-    auto cfg = noc_cfg(holms::noc::RoutingAlgo::kFaultTolerant);
-    cfg.ft_on_demand_min_tiles = min_tiles;
-    holms::noc::NocSim sim(mesh, cfg, Rng(99));
-    add_pattern_flows(sim, mesh, holms::noc::TrafficPattern::kUniformRandom,
-                      0.02, 4);
-    sim.attach_fault_schedule(&sched);
-    sim.run(8000);
-    return sim.stats();
-  };
-  const auto table = run(1024);
-  const auto lazy = run(1);
-  EXPECT_GT(table.faults_applied, 0u);
-  EXPECT_GT(table.reroute_hops, 0u);  // the severed rows forced detours
-  EXPECT_EQ(table.packets_injected, lazy.packets_injected);
-  EXPECT_EQ(table.packets_delivered, lazy.packets_delivered);
-  EXPECT_EQ(table.packets_dropped, lazy.packets_dropped);
-  EXPECT_EQ(table.flit_hops, lazy.flit_hops);
-  EXPECT_EQ(table.reroute_hops, lazy.reroute_hops);
-  EXPECT_EQ(table.faults_applied, lazy.faults_applied);
-  EXPECT_DOUBLE_EQ(table.mean_packet_latency, lazy.mean_packet_latency);
-  EXPECT_DOUBLE_EQ(table.energy_joules, lazy.energy_joules);
-  EXPECT_DOUBLE_EQ(table.delivery_ratio, lazy.delivery_ratio);
+TEST(NocFault, RowBurstFtRoutingMatchesPinnedAllDestinationTables) {
+  // Whole-row cuts force detours; the lazy per-destination admit tables must
+  // reproduce the stats the eager all-destination tables produced.  The
+  // 12x12 input has 144 destinations, more than a small table cache could
+  // hold, so every destination's table is recomputed per fault epoch.
+  {
+    const holms::noc::Mesh2D mesh(8, 8);
+    const auto sched = row_burst_schedule(mesh);
+    ASSERT_FALSE(sched.empty());
+    const auto s = run_ft_replay(mesh, sched);
+    EXPECT_GT(s.faults_applied, 0u);
+    EXPECT_GT(s.reroute_hops, 0u);  // the severed rows forced detours
+    expect_pinned(s, {10316, 10281, 219180, 0x1.3c00197f76f3fp+3,
+                      0x1.321b73b0b1c8ep+4, 0x1.0af4f0d844cfp-3,
+                      0x1.b65c28f5c28f6p+4, 0x1.6e106338cc306p-16,
+                      0x1.619ef1f9003c4p+4, 0, 0x1.fe434cedd5b6cp-1, 1, 7});
+  }
+  {
+    const holms::noc::Mesh2D mesh(12, 12);
+    const auto sched = row_burst_schedule(mesh);
+    ASSERT_FALSE(sched.empty());
+    const auto s = run_ft_replay(mesh, sched);
+    EXPECT_GT(s.faults_applied, 0u);
+    EXPECT_GT(s.reroute_hops, 0u);
+    expect_pinned(s, {23143, 23053, 736453, 0x1.ab7da10db6e99p+3,
+                      0x1.a603718bd36a8p+4, 0x1.71093d1f1587p-3,
+                      0x1.7039fbe76c8b4p+6, 0x1.26a574ebfbd58p-14,
+                      0x1.fba94b2db93e8p+4, 2, 0x1.fe024759035fbp-1, 2, 11});
+  }
 }
 
 // ---------- MANET enclosure bursts ----------

@@ -492,6 +492,34 @@ TEST(LintLexer, MacroContinuationWithCrlfStaysPreprocessor) {
   EXPECT_EQ(f.tokens.front().line, 3u);
 }
 
+TEST(LintLexer, CountsCodeLinesNotCommentsOrBlanks) {
+  const std::string src =
+      "#pragma once\n"              // 1: directive
+      "// comment only\n"           // 2
+      "\n"                          // 3
+      "/* block\n"                  // 4
+      "   comment */\n"             // 5
+      "int x = 1;  // trailing\n"   // 6: code
+      "const char* s = R\"(a\n"     // 7: raw string opens
+      "b)\";\n"                      // 8: ... and closes
+      "#define M(a) \\\n"           // 9: directive
+      "  (a)\n";                     // 10: its continuation
+  const lint::SourceFile f =
+      lint::lex("src/x.hpp", src, lint::FileKind::kLibraryHeader);
+  EXPECT_EQ(f.code_lines, 6u);
+  // Deleting the comments and blank lines leaves the count unchanged.
+  const std::string stripped =
+      "#pragma once\n"
+      "int x = 1;\n"
+      "const char* s = R\"(a\n"
+      "b)\";\n"
+      "#define M(a) \\\n"
+      "  (a)\n";
+  EXPECT_EQ(lint::lex("src/x.hpp", stripped, lint::FileKind::kLibraryHeader)
+                .code_lines,
+            6u);
+}
+
 TEST(LintLexer, RecordsQuotedIncludesWithLines) {
   const std::string src =
       "#pragma once\n"

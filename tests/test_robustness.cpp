@@ -71,6 +71,70 @@ TEST(Robust, PeriodicChainStillSolvableByDirectMethod) {
   EXPECT_NEAR(r.distribution[0], 0.5, 1e-9);
 }
 
+// The chain API checks its arguments in every build type: an assert would
+// vanish under NDEBUG and leave an out-of-bounds access behind.
+
+TEST(Robust, DtmcTransientWrongSpanSizeThrows) {
+  holms::markov::Dtmc d(3);
+  d.set(0, 0, 1.0);
+  EXPECT_THROW(d.transient(std::vector<double>{1.0, 0.0}, 1),
+               holms::InvalidArgument);
+}
+
+TEST(Robust, CtmcTransientWrongSpanSizeThrows) {
+  holms::markov::Ctmc c(3);
+  c.set_rate(0, 1, 1.0);
+  EXPECT_THROW(c.transient(std::vector<double>{1.0, 0.0}, 1.0),
+               holms::InvalidArgument);
+  // Also at t = 0, which returns the initial vector unchanged.
+  EXPECT_THROW(c.transient(std::vector<double>{1.0, 0.0, 0.0, 0.0}, 0.0),
+               holms::InvalidArgument);
+}
+
+TEST(Robust, DtmcSetOutOfRangeIndexThrows) {
+  holms::markov::Dtmc d(2);
+  EXPECT_THROW(d.set(2, 0, 0.5), holms::OutOfRange);
+  EXPECT_THROW(d.set(0, 2, 0.5), holms::OutOfRange);
+}
+
+TEST(Robust, DtmcGetOutOfRangeIndexThrows) {
+  holms::markov::Dtmc d(2);
+  EXPECT_THROW(d.get(2, 0), holms::OutOfRange);
+  EXPECT_THROW(d.get(0, 2), holms::OutOfRange);
+}
+
+TEST(Robust, CtmcSetRateOutOfRangeIndexThrows) {
+  holms::markov::Ctmc c(2);
+  EXPECT_THROW(c.set_rate(2, 0, 1.0), holms::OutOfRange);
+  EXPECT_THROW(c.set_rate(0, 2, 1.0), holms::OutOfRange);
+}
+
+TEST(Robust, CtmcRateOutOfRangeIndexThrows) {
+  holms::markov::Ctmc c(2);
+  EXPECT_THROW(c.rate(2, 0), holms::OutOfRange);
+  EXPECT_THROW(c.rate(0, 2), holms::OutOfRange);
+  EXPECT_THROW(c.exit_rate(2), holms::OutOfRange);
+}
+
+TEST(Robust, DtmcNegativeProbabilityThrows) {
+  holms::markov::Dtmc d(2);
+  EXPECT_THROW(d.set(0, 1, -0.25), holms::InvalidArgument);
+  EXPECT_THROW(d.set(0, 1, 1.5), holms::InvalidArgument);
+  EXPECT_EQ(d.get(0, 1), 0.0);  // a rejected set stores nothing
+}
+
+TEST(Robust, CtmcNegativeRateThrows) {
+  holms::markov::Ctmc c(2);
+  EXPECT_THROW(c.set_rate(0, 1, -1.0), holms::InvalidArgument);
+  EXPECT_EQ(c.rate(0, 1), 0.0);
+}
+
+TEST(Robust, CtmcDiagonalSetRateThrows) {
+  holms::markov::Ctmc c(2);
+  EXPECT_THROW(c.set_rate(1, 1, 1.0), holms::InvalidArgument);
+  EXPECT_EQ(c.exit_rate(1), 0.0);
+}
+
 TEST(Robust, JacksonTrappedCycleThrows) {
   holms::markov::JacksonNetwork net({{5.0, 1.0}, {5.0, 0.0}});
   net.set_routing(0, 1, 1.0);

@@ -87,10 +87,19 @@ SourceFile lex(std::string path, const std::string& content, FileKind kind) {
   std::size_t i = 0;
   std::size_t line = 1;
   std::size_t last_token_line = 0;  // to know if a comment trails code
+  std::size_t last_code_line = 0;   // last line counted in code_lines
 
+  // Counts lines [from, to] as code; lines arrive in increasing order.
+  auto mark_code = [&](std::size_t from, std::size_t to) {
+    from = std::max(from, last_code_line + 1);
+    if (to < from) return;
+    out.code_lines += to - from + 1;
+    last_code_line = to;
+  };
   auto push = [&](Token::Kind k, std::string text) {
     out.tokens.push_back(Token{k, std::move(text), line});
     last_token_line = line;
+    mark_code(line, line);
   };
 
   const std::size_t n = content.size();
@@ -147,6 +156,7 @@ SourceFile lex(std::string path, const std::string& content, FileKind kind) {
         directive.push_back(content[end]);
         ++end;
       }
+      mark_code(directive_line, line);
       if (directive.find("pragma") != std::string::npos &&
           directive.find("once") != std::string::npos) {
         out.has_pragma_once = true;
@@ -187,6 +197,7 @@ SourceFile lex(std::string path, const std::string& content, FileKind kind) {
         if (r + 1 < n && content[r] == 'R' && content[r + 1] == '"') raw_r = r;
       }
       if (raw_r != std::string::npos) {
+        const std::size_t open_line = line;
         std::size_t p = raw_r + 2;
         std::string delim;
         while (p < n && content[p] != '(') delim.push_back(content[p++]);
@@ -198,6 +209,7 @@ SourceFile lex(std::string path, const std::string& content, FileKind kind) {
                        content.begin() + static_cast<std::ptrdiff_t>(
                                              std::min(end, n)),
                        '\n'));
+        mark_code(open_line, line);  // every line the literal spans
         push(Token::kString, "<raw-string>");
         i = std::min(end + closer.size(), n);
         continue;
@@ -212,12 +224,14 @@ SourceFile lex(std::string path, const std::string& content, FileKind kind) {
         i = q;
         // fall through to the literal branch via the loop: re-dispatch
         const char quote = content[i];
+        const std::size_t open_line = line;
         std::size_t p = i + 1;
         while (p < n && content[p] != quote) {
           if (content[p] == '\\' && p + 1 < n) ++p;
           if (content[p] == '\n') ++line;
           ++p;
         }
+        mark_code(open_line, line);
         push(Token::kString, quote == '"' ? "<string>" : "<char>");
         i = p + 1;
         continue;
@@ -226,12 +240,14 @@ SourceFile lex(std::string path, const std::string& content, FileKind kind) {
     // String / char literal.
     if (c == '"' || c == '\'') {
       const char quote = c;
+      const std::size_t open_line = line;
       std::size_t p = i + 1;
       while (p < n && content[p] != quote) {
         if (content[p] == '\\' && p + 1 < n) ++p;
         if (content[p] == '\n') ++line;
         ++p;
       }
+      mark_code(open_line, line);
       push(Token::kString, quote == '"' ? "<string>" : "<char>");
       i = p + 1;
       continue;

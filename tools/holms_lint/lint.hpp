@@ -101,6 +101,9 @@ struct SourceFile {
   std::vector<Suppression> suppressions;
   std::vector<IncludeDirective> includes;  // quoted includes, in file order
   bool has_pragma_once = false;
+  /// Lines holding at least one non-comment token or preprocessor directive
+  /// (blank and comment-only lines do not count).
+  std::size_t code_lines = 0;
 
   bool is_header() const {
     return kind == FileKind::kLibraryHeader || kind == FileKind::kOtherHeader;
@@ -176,6 +179,9 @@ struct ReportStats {
   std::size_t files = 0;
   double lint_ms = 0.0;   // lex + per-file rules
   double graph_ms = 0.0;  // whole-program index + graph rules
+  /// Sum of SourceFile::code_lines over the library files (src/): the
+  /// tracked size of the library, blind to comment churn.
+  std::size_t src_code_lines = 0;
 };
 
 /// Machine-readable report (LINT_report.json).  `all` holds every finding

@@ -208,6 +208,9 @@ int main(int argc, char** argv) {
 
   ReportStats stats;
   stats.files = paths.size();
+  for (const SourceFile& s : sources) {
+    if (s.is_library()) stats.src_code_lines += s.code_lines;
+  }
   stats.lint_ms = ms_between(t_lint0, t_lint1);
   stats.graph_ms = ms_between(t_lint1, t_graph1);
 

@@ -227,6 +227,7 @@ std::string report_to_json(const std::vector<Finding>& all,
      << ",\n  \"lint_ms\": " << ms_fixed(stats.lint_ms)
      << ",\n  \"graph_build_ms\": " << ms_fixed(stats.graph_ms)
      << ",\n  \"files_per_s\": " << ms_fixed(files_per_s)
+     << ",\n  \"src_code_lines\": " << stats.src_code_lines
      << ",\n  \"total_findings\": "
      << (all.size() - suppressed) << ",\n  \"suppressed\": " << suppressed
      << ",\n  \"graph_rules_findings\": " << graph_rules
