@@ -28,6 +28,7 @@
 #include "noc/router.hpp"
 #include "noc/taskgraph.hpp"
 #include "sim/simulator.hpp"
+#include "support/sa_oracle.hpp"
 #include "traffic/selfsim.hpp"
 #include "wireless/link_sim.hpp"
 
@@ -140,18 +141,21 @@ void BM_SaMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_SaMapping)->Arg(1000)->Arg(5000)->ArgName("iters");
 
-// Full re-evaluation (SaOptions::debug_full_eval) vs the O(deg) delta-cost
-// path, on the E4 video/audio configuration (mms_graph, 4x4 mesh).
+// Full re-evaluation (the test-support reference loop) vs the library's
+// O(deg) delta-cost loop, on the E4 video/audio configuration (mms_graph,
+// 4x4 mesh).
 void BM_SaMappingMode(benchmark::State& state) {
   const auto g = holms::noc::mms_graph();
   holms::noc::Mesh2D mesh(4, 4);
   holms::noc::EnergyModel em;
   holms::noc::SaOptions opts;
   opts.iterations = 20000;
-  opts.debug_full_eval = state.range(0) == 0;
+  const bool incremental = state.range(0) != 0;
   for (auto _ : state) {
     holms::sim::Rng rng(4);
-    auto m = holms::noc::sa_mapping(g, mesh, em, rng, opts);
+    auto m = incremental
+                 ? holms::noc::sa_mapping(g, mesh, em, rng, opts)
+                 : holms::test_support::sa_mapping_full(g, mesh, em, rng, opts);
     benchmark::DoNotOptimize(m.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -226,7 +230,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// SA moves/s on the E4 configuration; `full` selects the debug baseline.
+// SA moves/s on the E4 configuration; `full` selects the full-evaluation
+// reference loop (tests/support/sa_oracle.hpp) instead of the library's.
 double sa_moves_per_s(bool full) {
   const auto g = holms::noc::mms_graph();
   holms::noc::Mesh2D mesh(4, 4);
@@ -234,16 +239,19 @@ double sa_moves_per_s(bool full) {
   holms::noc::SaOptions opts;
   opts.iterations = full ? 100000 : 300000;
   opts.cooling = 1.0 - 1.0 / static_cast<double>(opts.iterations);
-  opts.debug_full_eval = full;
+  const auto run = [&](holms::sim::Rng& rng, const holms::noc::SaOptions& o) {
+    return full ? holms::test_support::sa_mapping_full(g, mesh, em, rng, o)
+                : holms::noc::sa_mapping(g, mesh, em, rng, o);
+  };
   {  // warmup: route tables, caches, branch predictors
     holms::sim::Rng rng(4);
     holms::noc::SaOptions w = opts;
     w.iterations = 2000;
-    benchmark::DoNotOptimize(holms::noc::sa_mapping(g, mesh, em, rng, w));
+    benchmark::DoNotOptimize(run(rng, w));
   }
   holms::sim::Rng rng(4);
   const auto t0 = std::chrono::steady_clock::now();
-  auto m = holms::noc::sa_mapping(g, mesh, em, rng, opts);
+  auto m = run(rng, opts);
   const double dt = seconds_since(t0);
   benchmark::DoNotOptimize(m.data());
   return static_cast<double>(opts.iterations) / dt;

@@ -203,12 +203,9 @@ ExploreResult explore(const Application& app, const Platform& platform,
   // the schedule of the pool below can never leak into the results.
   const std::uint64_t stream_base = rng.bits();
 
-  exec::ThreadPool* pool = opts.pool;
   std::optional<exec::ThreadPool> local_pool;
-  if (pool == nullptr && exec::resolve_threads(opts.threads) > 1) {
-    local_pool.emplace(opts.threads);
-    pool = &*local_pool;
-  }
+  if (exec::resolve_threads(opts.threads) > 1) local_pool.emplace(opts.threads);
+  exec::ThreadPool* pool = local_pool ? &*local_pool : nullptr;
 
   // Candidate mappings by index: 0 = greedy seed, then per restart r one SA
   // run (index 1 + 2r) and one random probe (index 2 + 2r).
@@ -242,44 +239,25 @@ ExploreResult explore(const Application& app, const Platform& platform,
                                        stream);
           });
 
-  // Pricing jobs: for each mapping, the DVS variant then (optionally) EDF —
-  // the same enumeration order the serial explorer used.
-  struct Job {
-    std::size_t mapping = 0;
-    bool use_dvs = true;
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(num_mappings * 2);
-  for (std::size_t m = 0; m < num_mappings; ++m) {
-    jobs.push_back(Job{m, true});
-    if (opts.try_both_schedulers) jobs.push_back(Job{m, false});
-  }
-
-  EvalCache* cache = opts.cache;
+  // Pricing job j: mapping j / 2, the DVS variant (even j) then EDF.
+  const std::size_t num_jobs = 2 * num_mappings;
   std::optional<EvalCache> local_cache;
-  if (cache == nullptr && opts.use_cache) {
-    local_cache.emplace();
-    cache = &*local_cache;
-  }
-  const std::uint64_t app_fp = cache ? app_fingerprint(app) : 0;
-  const std::uint64_t plat_fp = cache ? platform_fingerprint(platform) : 0;
+  EvalCache* cache =
+      opts.cache != nullptr ? opts.cache : &local_cache.emplace();
+  const std::uint64_t app_fp = app_fingerprint(app);
+  const std::uint64_t plat_fp = platform_fingerprint(platform);
 
   std::vector<Evaluation> evals = exec::parallel_transform<Evaluation>(
-      pool, jobs.size(), [&](std::size_t j) {
-        const Job& job = jobs[j];
-        if (cache) {
-          return cache->evaluate(app, app_fp, platform, plat_fp,
-                                 mappings[job.mapping], job.use_dvs);
-        }
-        return evaluate_design(app, platform, mappings[job.mapping],
-                               job.use_dvs);
+      pool, num_jobs, [&](std::size_t j) {
+        return cache->evaluate(app, app_fp, platform, plat_fp,
+                               mappings[j / 2], j % 2 == 0);
       });
-  exec::count("explore.candidates", jobs.size());
+  exec::count("explore.candidates", num_jobs);
 
-  std::vector<DesignCandidate> candidates(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    candidates[j].mapping = mappings[jobs[j].mapping];
-    candidates[j].use_dvs = jobs[j].use_dvs;
+  std::vector<DesignCandidate> candidates(num_jobs);
+  for (std::size_t j = 0; j < num_jobs; ++j) {
+    candidates[j].mapping = mappings[j / 2];
+    candidates[j].use_dvs = j % 2 == 0;
     candidates[j].eval = std::move(evals[j]);
   }
 
@@ -292,7 +270,7 @@ ExploreResult explore(const Application& app, const Platform& platform,
     score_fault_robustness(app, platform, *opts.faults, pool, candidates);
   }
 
-  out.evaluated = jobs.size();
+  out.evaluated = num_jobs;
   ParetoAccumulator acc;
   for (DesignCandidate& c : candidates) acc.merge(std::move(c));
   out.best = std::move(acc.best);
@@ -326,12 +304,9 @@ SynthesisResult synthesize_platform(const Application& app, std::size_t width,
   }
   ExploreOptions inner = opts.explore;
   if (inner.cache == nullptr) inner.cache = &shared_cache;
-  if (pool != nullptr) {
-    // Upgrade candidates are the parallel axis; nested pools would only
-    // oversubscribe (determinism holds either way).
-    inner.threads = 1;
-    inner.pool = nullptr;
-  }
+  // Upgrade candidates are the parallel axis; nested pools would only
+  // oversubscribe (determinism holds either way).
+  if (pool != nullptr) inner.threads = 1;
 
   out.design = explore(app, out.platform, rng, inner);
   out.found_feasible = out.design.found_feasible;

@@ -77,12 +77,12 @@ struct FaultScenario {
 struct ExploreOptions {
   std::size_t restarts = 3;        // independent SA runs
   noc::SaOptions sa{};
-  bool try_both_schedulers = true; // evaluate EDF and DVS variants
   std::size_t threads = 1;         // 0 = hardware concurrency, 1 = serial
-  bool use_cache = true;           // memoize evaluate_design calls
-  EvalCache* cache = nullptr;      // external cache (overrides use_cache);
-                                   // shared by synthesize_platform trials
-  exec::ThreadPool* pool = nullptr;  // external pool (overrides threads)
+  /// Evaluation cache to price through, shared across calls (every
+  /// synthesize_platform trial uses one); nullptr = a cache private to the
+  /// call.  Pricing always goes through a cache: a hit is bitwise equal to
+  /// a fresh evaluate_design.
+  EvalCache* cache = nullptr;
   const FaultScenario* faults = nullptr;  // robustness-aware DSE (optional)
 
   /// Contract rule C001; called by explore().  `restarts = 0` is legal (the
@@ -173,7 +173,8 @@ void score_fault_robustness(const Application& app, const Platform& platform,
                             std::vector<DesignCandidate>& candidates);
 
 /// Searches mappings (greedy seed + SA restarts + random probes) and
-/// scheduler choice for the minimum-energy feasible design.
+/// scheduler choice for the minimum-energy feasible design.  Every mapping
+/// is priced twice, DVS then EDF, so `evaluated` is 2 * (1 + 2 * restarts).
 ///
 /// Consumes exactly one draw from `rng` (the base of the per-candidate
 /// counter-based streams) regardless of restarts or thread count.

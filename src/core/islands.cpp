@@ -15,7 +15,7 @@ namespace holms::core {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x484f4c4d53434b50ULL;    // "HOLMSCKP"
-constexpr std::uint64_t kVersion = 1;
+constexpr std::uint64_t kVersion = 2;
 constexpr std::uint64_t kDigestSeed = 0x636b70646967ULL;   // "ckpdig"
 constexpr std::uint64_t kInitStream = 0x696e6974ULL;       // "init"
 
@@ -74,6 +74,17 @@ struct WordReader {
     return words[pos++];
   }
   double f64() { return std::bit_cast<double>(u64()); }
+  /// A length field.  Every element takes at least one word, so a count
+  /// above the words left is malformed: rejected before anything is sized
+  /// from it.
+  std::size_t count() {
+    const std::uint64_t n = u64();
+    if (n > words.size() - pos) {
+      throw holms::RuntimeError(
+          "island checkpoint: length field exceeds the blob");
+    }
+    return static_cast<std::size_t>(n);
+  }
   noc::Mapping mapping(std::size_t expected_nodes, std::size_t num_tiles) {
     const std::uint64_t n = u64();
     if (n != expected_nodes) {
@@ -151,17 +162,9 @@ IslandExplorer::IslandExplorer(const Application& app,
   app_fp_ = app_fingerprint(app_);
   platform_fp_ = platform_fingerprint(platform_);
 
-  if (opts_.cache != nullptr) {
-    cache_ = opts_.cache;
-  } else if (opts_.use_cache) {
-    owned_cache_ = std::make_unique<EvalCache>();
-    cache_ = owned_cache_.get();
-  }
-  if (opts_.pool != nullptr) {
-    pool_ = opts_.pool;
-  } else if (exec::resolve_threads(opts_.threads) > 1) {
-    owned_pool_ = std::make_unique<exec::ThreadPool>(opts_.threads);
-    pool_ = owned_pool_.get();
+  cache_ = std::make_unique<EvalCache>();
+  if (exec::resolve_threads(opts_.threads) > 1) {
+    pool_ = std::make_unique<exec::ThreadPool>(opts_.threads);
   }
 
   sa_base_ = opts_.sa;
@@ -207,7 +210,7 @@ void IslandExplorer::run_epoch() {
   const std::size_t total_gen = K * gen_per_island;
   const std::vector<noc::Mapping> gen =
       exec::parallel_transform<noc::Mapping>(
-          pool_, total_gen, [&](std::size_t idx) {
+          pool_.get(), total_gen, [&](std::size_t idx) {
             const std::size_t i = idx / gen_per_island;
             const std::size_t s = idx % gen_per_island;
             sim::Rng stream(exec::substream_seed(stream_base_, i, e, s));
@@ -221,19 +224,15 @@ void IslandExplorer::run_epoch() {
                                        stream);
           });
 
-  // Pricing: every generated mapping times scheduler variants, through the
-  // shared cache.  Job order is island-major (island, slot, scheduler).
-  const std::size_t scheds = opts_.try_both_schedulers ? 2 : 1;
+  // Pricing: every generated mapping times both scheduler variants (DVS,
+  // then EDF), through the cache.  Job order is island-major (island, slot,
+  // scheduler).
+  constexpr std::size_t scheds = 2;
   const std::size_t total_jobs = total_gen * scheds;
   const std::vector<Evaluation> evals = exec::parallel_transform<Evaluation>(
-      pool_, total_jobs, [&](std::size_t j) {
-        const noc::Mapping& m = gen[j / scheds];
-        const bool use_dvs = (j % scheds) == 0;
-        if (cache_ != nullptr) {
-          return cache_->evaluate(app_, app_fp_, platform_, platform_fp_, m,
-                                  use_dvs);
-        }
-        return evaluate_design(app_, platform_, m, use_dvs);
+      pool_.get(), total_jobs, [&](std::size_t j) {
+        return cache_->evaluate(app_, app_fp_, platform_, platform_fp_,
+                                gen[j / scheds], j % scheds == 0);
       });
   exec::count("explore.candidates", total_jobs);
 
@@ -244,7 +243,8 @@ void IslandExplorer::run_epoch() {
     cands[j].eval = evals[j];
   }
   if (opts_.faults != nullptr) {
-    score_fault_robustness(app_, platform_, *opts_.faults, pool_, cands);
+    score_fault_robustness(app_, platform_, *opts_.faults, pool_.get(),
+                           cands);
   }
   evaluated_ += total_jobs;
 
@@ -340,19 +340,17 @@ std::uint64_t IslandExplorer::result_fingerprint() const {
 
 std::uint64_t IslandExplorer::options_digest() const {
   // Every knob that shapes the search trajectory — and none that may
-  // legitimately differ across a resume (threads, pool, cache, checkpoint
-  // plumbing, the advisory epoch budget).
+  // legitimately differ across a resume (threads, checkpoint plumbing, the
+  // advisory epoch budget).
   std::uint64_t h = 0x69736c6f707473ULL;  // "islopts"
   h = fold(h, static_cast<std::uint64_t>(opts_.islands));
   h = fold(h, static_cast<std::uint64_t>(opts_.migration_interval));
   h = fold(h, static_cast<std::uint64_t>(opts_.sa_runs_per_epoch));
   h = fold(h, static_cast<std::uint64_t>(opts_.probes_per_epoch));
-  h = fold(h, static_cast<std::uint64_t>(opts_.try_both_schedulers));
   h = fold(h, static_cast<std::uint64_t>(opts_.sa.iterations));
   h = fold(h, opts_.sa.initial_temperature);
   h = fold(h, opts_.sa.cooling);
   h = fold(h, opts_.sa.infeasibility_penalty);
-  h = fold(h, static_cast<std::uint64_t>(opts_.sa.debug_full_eval));
   h = fold(h, opts_.sa.w_swap);
   h = fold(h, opts_.sa.w_segment_reversal);
   h = fold(h, opts_.sa.w_cluster_relocate);
@@ -395,7 +393,7 @@ std::vector<std::uint8_t> IslandExplorer::checkpoint() const {
   w.u64(evaluated_);
   // Cache generation: informational — how much memoized state the resumed
   // process will be rebuilding (its own cache starts empty).
-  w.u64(cache_ != nullptr ? cache_->inserts() : 0);
+  w.u64(cache_->inserts());
   w.u64(static_cast<std::uint64_t>(islands_.size()));
   for (const Island& isl : islands_) {
     w.mapping(isl.incumbent);
@@ -490,7 +488,7 @@ IslandExplorer IslandExplorer::resume(const Application& app,
   ex.epoch_ = static_cast<std::size_t>(r.u64());
   ex.evaluated_ = r.u64();
   r.u64();  // cache generation: informational only
-  const std::size_t num_islands = static_cast<std::size_t>(r.u64());
+  const std::size_t num_islands = r.count();
   if (num_islands != ex.opts_.islands) {
     throw holms::RuntimeError(
         "island checkpoint: island count mismatch");
@@ -502,10 +500,8 @@ IslandExplorer IslandExplorer::resume(const Application& app,
   // Evaluation comes back bitwise identical to the one the checkpointing
   // process held; the stored fault scores then re-apply the same floors.
   const auto reprice = [&](DesignCandidate& c) {
-    c.eval = ex.cache_ != nullptr
-                 ? ex.cache_->evaluate(app, ex.app_fp_, platform,
-                                       ex.platform_fp_, c.mapping, c.use_dvs)
-                 : evaluate_design(app, platform, c.mapping, c.use_dvs);
+    c.eval = ex.cache_->evaluate(app, ex.app_fp_, platform, ex.platform_fp_,
+                                 c.mapping, c.use_dvs);
     if (ex.opts_.faults != nullptr) {
       const FaultScenario& fs = *ex.opts_.faults;
       if (c.availability < fs.min_availability) c.eval.feasible = false;
@@ -530,14 +526,12 @@ IslandExplorer IslandExplorer::resume(const Application& app,
     reprice(ex.acc_.best);
     ex.acc_.best_energy = ex.acc_.best.eval.total_energy_j;
   }
-  const std::size_t front_size = static_cast<std::size_t>(r.u64());
-  ex.acc_.front.resize(front_size);
+  ex.acc_.front.resize(r.count());
   for (DesignCandidate& c : ex.acc_.front) {
     c = r.candidate(nodes, tiles);
     reprice(c);
   }
-  const std::size_t traj_size = static_cast<std::size_t>(r.u64());
-  ex.trajectory_.resize(traj_size);
+  ex.trajectory_.resize(r.count());
   for (auto& [evals, energy] : ex.trajectory_) {
     evals = r.u64();
     energy = r.f64();

@@ -6,8 +6,9 @@
 // independent populations that occasionally exchange their champions.  The
 // island model does exactly that: K islands each run their own SA
 // refinements and random probes on private counter-derived RNG streams, all
-// pricing through one shared sharded EvalCache, and at epoch barriers the
-// ring migration hands every island its left neighbour's best design.
+// pricing both scheduler variants of every mapping through the explorer's
+// one sharded EvalCache, and at epoch barriers the ring migration hands
+// every island its left neighbour's best design.
 //
 // Determinism contract (the whole point of the design):
 //  * every generation job draws its stream from
@@ -24,11 +25,11 @@
 // full search state (incumbents, bests, front, trajectory) plus fingerprints
 // of everything the search depends on (app, platform, options, fault
 // scenario, RNG stream base) into a versioned little-endian blob with a
-// trailing digest.  resume() validates digest and fingerprints (any mismatch
-// or corruption → holms::RuntimeError) and reconstructs an explorer whose
-// continued run is bitwise identical to the uninterrupted one — RNG streams
-// are re-derived from (base, island, epoch, slot), so no engine state is
-// ever serialized.
+// trailing digest.  resume() validates digest, version, fingerprints and
+// length fields (any mismatch or corruption → holms::RuntimeError) and
+// reconstructs an explorer whose continued run is bitwise identical to the
+// uninterrupted one — RNG streams are re-derived from (base, island, epoch,
+// slot), so no engine state is ever serialized.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,11 +58,7 @@ struct IslandOptions {
   std::size_t sa_runs_per_epoch = 1;
   std::size_t probes_per_epoch = 1;
   noc::SaOptions sa{};
-  bool try_both_schedulers = true;  // price EDF next to the DVS variant
   std::size_t threads = 1;          // 0 = hardware concurrency, 1 = serial
-  bool use_cache = true;            // memoize evaluate_design calls
-  EvalCache* cache = nullptr;       // external cache (overrides use_cache)
-  exec::ThreadPool* pool = nullptr;  // external pool (overrides threads)
   const FaultScenario* faults = nullptr;  // robustness-aware DSE (optional)
   /// Periodic checkpointing: every `checkpoint_every` epochs the state blob
   /// is written to `checkpoint_path` (0 disables; step() performs the write
@@ -115,8 +112,8 @@ class IslandExplorer {
   IslandExplorer(const Application& app, const Platform& platform,
                  sim::Rng& rng, IslandOptions opts);
 
-  // Out-of-line so the owned pool/cache destruct where ThreadPool is a
-  // complete type; movable so resume() can return by value.
+  // Out-of-line so the owned pool destructs where ThreadPool is a complete
+  // type; movable so resume() can return by value.
   IslandExplorer(IslandExplorer&&) noexcept;
   ~IslandExplorer();
 
@@ -151,10 +148,12 @@ class IslandExplorer {
   void save_checkpoint(const std::string& path) const;
 
   /// Reconstructs an explorer from a checkpoint blob.  Validates the blob
-  /// digest and the app/platform/options/fault fingerprints — corruption or
-  /// any mismatch throws holms::RuntimeError.  The resumed explorer's
+  /// digest, the format version (2) and the app/platform/options/fault
+  /// fingerprints, and bounds every length field by the words left in the
+  /// blob before sizing anything from it — corruption, a malformed field
+  /// or any mismatch throws holms::RuntimeError.  The resumed explorer's
   /// continued run is bitwise identical to the uninterrupted one; `opts`
-  /// may differ in thread/pool/cache/checkpoint knobs only.
+  /// may differ in the thread and checkpoint knobs only.
   static IslandExplorer resume(const Application& app,
                                const Platform& platform, IslandOptions opts,
                                const std::vector<std::uint8_t>& blob);
@@ -198,11 +197,11 @@ class IslandExplorer {
   std::uint64_t evaluated_ = 0;
   std::vector<std::pair<std::uint64_t, double>> trajectory_;
 
-  // Execution plumbing (never serialized; resume re-creates it).
-  std::unique_ptr<EvalCache> owned_cache_;
-  EvalCache* cache_ = nullptr;
-  std::unique_ptr<exec::ThreadPool> owned_pool_;
-  exec::ThreadPool* pool_ = nullptr;
+  // Execution plumbing (never serialized; resume re-creates it).  Every
+  // candidate is priced through the explorer's own cache; the pool exists
+  // only when `threads` resolves to more than one.
+  std::unique_ptr<EvalCache> cache_;
+  std::unique_ptr<exec::ThreadPool> pool_;
 };
 
 /// Convenience wrapper: run opts.epochs epochs and return the result —

@@ -29,10 +29,6 @@
 
 #include "exec/error.hpp"
 
-namespace holms::exec {
-class ThreadPool;
-}  // namespace holms::exec
-
 namespace holms::markov {
 
 /// Dense row-major matrix for the direct LU solve, absorbing analysis and
@@ -76,10 +72,9 @@ struct SolveOptions {
   /// iterate sequence is a function of the problem alone and solves are
   /// bitwise identical across 1/2/4/7/... threads.  `threads` follows the
   /// explorer convention (0 = hardware concurrency, 1 = run the shard loop
-  /// inline); `pool` lets callers amortize worker startup across many
-  /// solves and overrides `threads` when set (not owned).
+  /// inline); a sharded solve with more than one thread starts its own pool
+  /// and joins it before returning.
   std::size_t threads = 1;
-  exec::ThreadPool* pool = nullptr;
   std::size_t parallel_min_states = 1024;
   std::size_t parallel_min_nnz = 4096;
 

@@ -38,16 +38,12 @@ std::size_t shard_count(std::size_t n) {
   return (n + kShardCols - 1) / kShardCols;
 }
 
-// Resolves the pool to run a sharded solve on: the caller's external pool if
-// set, else a solve-local pool when `opts.threads` asks for more than one
-// thread, else null (parallel_for_each runs the shard loop inline).
-exec::ThreadPool* resolve_pool(const SolveOptions& opts,
-                               std::unique_ptr<exec::ThreadPool>& owned) {
-  if (opts.pool != nullptr) return opts.pool;
+// The pool a sharded solve runs on: solve-local when `opts.threads` asks for
+// more than one thread, else null (parallel_for_each runs the shard loop
+// inline).
+std::unique_ptr<exec::ThreadPool> solve_pool(const SolveOptions& opts) {
   const std::size_t t = exec::resolve_threads(opts.threads);
-  if (t <= 1) return nullptr;
-  owned = std::make_unique<exec::ThreadPool>(t);
-  return owned.get();
+  return t > 1 ? std::make_unique<exec::ThreadPool>(t) : nullptr;
 }
 
 }  // namespace
@@ -126,13 +122,12 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
   const auto& k = exec::simd::kernels();
   const CsrMatrix pt = p.transposed();
   const bool sharded = sharded_solve_engaged(n, p.nnz(), opts);
-  std::unique_ptr<exec::ThreadPool> owned;
-  exec::ThreadPool* pool = sharded ? resolve_pool(opts, owned) : nullptr;
+  const auto pool = sharded ? solve_pool(opts) : nullptr;
   const std::size_t shards = shard_count(n);
   if (sharded) exec::count("markov.sharded_solves");
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     if (sharded) {
-      exec::parallel_for_each(pool, shards, [&](std::size_t s) {
+      exec::parallel_for_each(pool.get(), shards, [&](std::size_t s) {
         const std::size_t lo = s * kShardCols;
         const std::size_t hi = std::min(n, lo + kShardCols);
         k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
@@ -187,14 +182,13 @@ SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   // which is why engagement is gated on size floors rather than on threads.
   const auto& k = exec::simd::kernels();
   const bool sharded = sharded_solve_engaged(n, p.nnz(), opts);
-  std::unique_ptr<exec::ThreadPool> owned;
-  exec::ThreadPool* pool = sharded ? resolve_pool(opts, owned) : nullptr;
+  const auto pool = sharded ? solve_pool(opts) : nullptr;
   const std::size_t shards = shard_count(n);
   if (sharded) exec::count("markov.sharded_solves");
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     next = pi;
     if (sharded) {
-      exec::parallel_for_each(pool, shards, [&](std::size_t s) {
+      exec::parallel_for_each(pool.get(), shards, [&](std::size_t s) {
         const std::size_t lo = s * kShardCols;
         const std::size_t hi = std::min(n, lo + kShardCols);
         k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),

@@ -67,10 +67,10 @@ class CsrMatrix {
 };
 
 /// True when `opts` engages the fixed-grid sharded kernels for a matrix of
-/// this size (DESIGN.md §5g).  Deliberately independent of `opts.threads` /
-/// `opts.pool`: the kernel choice is a function of the problem, so every
-/// thread count runs the identical algorithm and solves stay bitwise
-/// invariant to parallelism.  Exposed for tests and benchmarks.
+/// this size (DESIGN.md §5g).  Deliberately independent of `opts.threads`:
+/// the kernel choice is a function of the problem, so every thread count
+/// runs the identical algorithm and solves stay bitwise invariant to
+/// parallelism.  Exposed for tests and benchmarks.
 inline bool sharded_solve_engaged(std::size_t n, std::size_t nnz,
                                   const SolveOptions& opts) {
   return n >= opts.parallel_min_states && nnz >= opts.parallel_min_nnz;

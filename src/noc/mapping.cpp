@@ -1,7 +1,7 @@
-// HOLMS_LINT_ALLOW_FILE(D006): the full-evaluation oracle, constructive
-// greedy and rebuild() walk the edge list in its fixed declaration order —
-// they define the reference answer the O(deg) hot path is tested against.
-// The hot path (swap_step) reduces through exec::simd::transfer_delta.
+// HOLMS_LINT_ALLOW_FILE(D006): evaluate_mapping, the constructive greedy and
+// rebuild() walk the edge list in its fixed declaration order — they define
+// the reference answer the O(deg) hot path is tested against.  The hot path
+// (swap_step) reduces through exec::simd::transfer_delta.
 #include "noc/mapping.hpp"
 
 #include <algorithm>
@@ -20,26 +20,10 @@
 namespace holms::noc {
 namespace {
 
-double penalized_cost(const AppGraph& g, const Mesh2D& mesh,
-                      const EnergyModel& energy, const Mapping& m,
-                      const SaOptions& opts) {
-  const MappingEval ev =
-      evaluate_mapping(g, mesh, energy, m, opts.link_capacity_bps);
-  double cost = ev.comm_energy_j;
-  if (opts.link_capacity_bps > 0.0 &&
-      ev.max_link_load_bps > opts.link_capacity_bps) {
-    const double overload = ev.max_link_load_bps / opts.link_capacity_bps;
-    cost *= 1.0 + opts.infeasibility_penalty * (overload - 1.0);
-  }
-  return cost;
-}
-
 // Metropolis acceptance for an uphill move with scaled delta x = delta/temp.
-// Shared by the incremental and full-evaluation SA loops so both consume the
-// identical RNG stream.  exp(-46) < 1e-19 sits below the smallest value
-// Rng::uniform() produces at its 53-bit resolution, so a certain rejection
-// skips the draw-and-exp entirely — late in a cooling schedule that is almost
-// every uphill move.
+// exp(-46) < 1e-19 sits below the smallest value Rng::uniform() produces at
+// its 53-bit resolution, so a certain rejection skips the draw-and-exp
+// entirely — late in a cooling schedule that is almost every uphill move.
 bool metropolis_accept(sim::Rng& rng, double x) {
   if (x >= 46.0) return false;
   return rng.uniform() < std::exp(-x);
@@ -230,12 +214,10 @@ namespace {
 // sources and destinations come from the *pre-move* placement; a member
 // displaced by an earlier swap of the same move simply rides along — the
 // move stays a bijection on tile contents, so unwinding the swaps in reverse
-// is an exact inverse.  Shared by SwapEvaluator::apply_move and the
-// debug_full_eval oracle so both execute identical swap sequences.
-// The membership is graph-only (it never looks at the mapping), so it is
-// precomputed once per SA run / evaluator as a per-core {count, n1, n2} row
-// by cluster_neighbor_table() — a cluster move then costs only its swap
-// deltas, not an edge-list rescan.
+// is an exact inverse.  The membership is graph-only (it never looks at the
+// mapping), so it is precomputed once per evaluator as a per-core
+// {count, n1, n2} row by cluster_neighbor_table() — a cluster move then
+// costs only its swap deltas, not an edge-list rescan.
 std::vector<std::array<std::size_t, 3>> cluster_neighbor_table(
     const AppGraph& g) {
   // (core, total volume), per core, in first-encounter edge order — the same
@@ -351,7 +333,7 @@ MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
     mv.target = static_cast<TileId>(
         rng.uniform_int(0, static_cast<std::int64_t>(tiles) - 1));
   } else {
-    // Same single draw over the T^2 pair space as the legacy swap loop.
+    // One draw over the T^2 pair space picks both tiles.
     const auto pair = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(tiles * tiles) - 1));
     TileId a = static_cast<TileId>(pair / tiles);
@@ -536,14 +518,6 @@ void SwapEvaluator::swap_step(TileId a, TileId b) {
   std::swap(occupant_[a], occupant_[b]);
 }
 
-double SwapEvaluator::apply_swap(TileId a, TileId b) {
-  assert(!move_open_ && "apply_swap before resolving the previous move");
-  assert(a != b);
-  begin_move();
-  swap_step(a, b);
-  return cost();
-}
-
 double SwapEvaluator::apply_move(const MoveDesc& mv) {
   assert(!move_open_ && "apply_move before resolving the previous move");
   begin_move();
@@ -583,82 +557,6 @@ void SwapEvaluator::revert_move() {
   }
 }
 
-namespace {
-
-// The pre-incremental Metropolis loop: one full evaluate_mapping per move.
-// Kept verbatim behind SaOptions::debug_full_eval as the baseline bench_micro
-// measures against and the oracle the equivalence tests drive.
-Mapping sa_mapping_full(const AppGraph& g, const Mesh2D& mesh,
-                        const EnergyModel& energy, sim::Rng& rng,
-                        const SaOptions& opts, Mapping m) {
-  const std::size_t n = g.num_nodes();
-  std::vector<std::size_t> occupant(mesh.num_tiles(), n);
-  for (std::size_t c = 0; c < n; ++c) occupant[m[c]] = c;
-
-  double cost = penalized_cost(g, mesh, energy, m, opts);
-  double best_cost = cost;
-  Mapping best = m;
-  double temp = opts.initial_temperature * std::max(cost, 1e-12);
-  std::uint64_t accepted = 0, rejected = 0, reheats = 0;
-  std::size_t since_accept = 0;
-
-  const std::size_t tiles = mesh.num_tiles();
-  const auto cluster_top = cluster_neighbor_table(g);
-  std::vector<std::pair<TileId, TileId>> steps;  // expand_move scratch
-  for (std::size_t it = 0; it < opts.iterations; ++it) {
-    const MoveDesc mv = sample_move(rng, opts, tiles, n);
-    if (mv.kind == SaMove::kSwap &&
-        (mv.a == mv.b || (occupant[mv.a] == n && occupant[mv.b] == n))) {
-      continue;
-    }
-    if (mv.kind == SaMove::k2OptSegmentReversal && mv.a == mv.b) continue;
-    // Execute the move's swap sequence on the plain arrays (the evaluator
-    // path executes the identical sequence via swap_step).
-    expand_move(cluster_top, mesh, m, mv, steps);
-    for (const auto& [a, b] : steps) {
-      const std::size_t ca = occupant[a], cb = occupant[b];
-      if (ca != n) m[ca] = b;
-      if (cb != n) m[cb] = a;
-      std::swap(occupant[a], occupant[b]);
-    }
-
-    const double new_cost = penalized_cost(g, mesh, energy, m, opts);
-    const double delta = new_cost - cost;
-    if (delta <= 0.0 || metropolis_accept(rng, delta / temp)) {
-      ++accepted;
-      since_accept = 0;
-      cost = new_cost;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = m;
-      }
-    } else {
-      ++rejected;
-      // Undo by unwinding the swaps in reverse.
-      for (auto rit = steps.rbegin(); rit != steps.rend(); ++rit) {
-        const TileId a = rit->first, b = rit->second;
-        const std::size_t ca = occupant[a], cb = occupant[b];
-        if (ca != n) m[ca] = b;
-        if (cb != n) m[cb] = a;
-        std::swap(occupant[a], occupant[b]);
-      }
-      if (opts.reheat_after > 0 && ++since_accept >= opts.reheat_after) {
-        temp *= opts.reheat_factor;
-        since_accept = 0;
-        ++reheats;
-      }
-    }
-    temp *= opts.cooling;
-  }
-  exec::count("sa.moves_accepted", accepted);
-  exec::count("sa.moves_rejected", rejected);
-  if (reheats > 0) exec::count("sa.reheats", reheats);
-  exec::observe("sa.final_temperature", temp);
-  return best;
-}
-
-}  // namespace
-
 Mapping sa_mapping(const AppGraph& g, const Mesh2D& mesh,
                    const EnergyModel& energy, sim::Rng& rng,
                    const SaOptions& opts) {
@@ -671,15 +569,10 @@ Mapping sa_mapping_from(const AppGraph& g, const Mesh2D& mesh,
                         const EnergyModel& energy, Mapping initial,
                         sim::Rng& rng, const SaOptions& opts) {
   opts.validate();
-  if (opts.debug_full_eval) {
-    return sa_mapping_full(g, mesh, energy, rng, opts, std::move(initial));
-  }
 
-  // Delta-cost path: the evaluator keeps per-link loads and the running
+  // Delta-cost loop: the evaluator keeps per-link loads and the running
   // energy, so a move costs O(deg(a) + deg(b)) route adjustments instead of
-  // a full O(edges * hops) re-evaluation.  The RNG draw sequence is the same
-  // as the full path's, so both modes explore the same move trajectory
-  // (modulo accept flips within the ~1e-12 incremental/full cost gap).
+  // a full O(edges * hops) re-evaluation.
   SwapEvaluator ev(g, mesh, energy, std::move(initial),
                    opts.link_capacity_bps, opts.infeasibility_penalty,
                    opts.routes);
@@ -692,38 +585,18 @@ Mapping sa_mapping_from(const AppGraph& g, const Mesh2D& mesh,
   std::uint64_t accepted = 0, rejected = 0, reheats = 0;
   std::size_t since_accept = 0;
   const std::size_t n = g.num_nodes();
-  const bool mixed =
-      opts.w_segment_reversal > 0.0 || opts.w_cluster_relocate > 0.0;
 
   const std::size_t tiles = mesh.num_tiles();
   for (std::size_t it = 0; it < opts.iterations; ++it) {
-    double new_cost;
-    if (!mixed) {
-      // Legacy swap-only fast path: swap the contents of two tiles
-      // (core<->core or core<->empty); one draw over the T^2 pair space
-      // replaces two per-tile draws, and no move-selector draw happens, so
-      // the stream matches pre-move-set builds exactly.
-      const auto pair = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(tiles * tiles) - 1));
-      const TileId a = pair / tiles, b = pair % tiles;
-      if (a == b || (ev.occupant(a) == SwapEvaluator::kEmpty &&
-                     ev.occupant(b) == SwapEvaluator::kEmpty)) {
-        continue;
-      }
-      new_cost = ev.apply_swap(a, b);
-    } else {
-      const MoveDesc mv = sample_move(rng, opts, tiles, n);
-      if (mv.kind == SaMove::kSwap &&
-          (mv.a == mv.b ||
-           (ev.occupant(mv.a) == SwapEvaluator::kEmpty &&
-            ev.occupant(mv.b) == SwapEvaluator::kEmpty))) {
-        continue;
-      }
-      if (mv.kind == SaMove::k2OptSegmentReversal && mv.a == mv.b) continue;
-      // Swaps (the bulk of any mix) take the single-step entry directly.
-      new_cost = mv.kind == SaMove::kSwap ? ev.apply_swap(mv.a, mv.b)
-                                          : ev.apply_move(mv);
+    const MoveDesc mv = sample_move(rng, opts, tiles, n);
+    // A move that changes no tile content still costs its draws.
+    if (mv.kind == SaMove::kSwap &&
+        (mv.a == mv.b || (ev.occupant(mv.a) == SwapEvaluator::kEmpty &&
+                          ev.occupant(mv.b) == SwapEvaluator::kEmpty))) {
+      continue;
     }
+    if (mv.kind == SaMove::k2OptSegmentReversal && mv.a == mv.b) continue;
+    const double new_cost = ev.apply_move(mv);
     const double delta = new_cost - cost;
     if (delta <= 0.0 || metropolis_accept(rng, delta / temp)) {
       ++accepted;

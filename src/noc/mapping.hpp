@@ -56,7 +56,7 @@ Mapping greedy_mapping(const AppGraph& g, const Mesh2D& mesh,
 /// tile-content swaps derived from the pre-move placement, so one undo
 /// mechanism (unwind the swaps in reverse) reverts any of them bitwise.
 enum class SaMove : std::uint8_t {
-  kSwap,                 // exchange the contents of two tiles (legacy move)
+  kSwap,                 // exchange the contents of two tiles (default)
   k2OptSegmentReversal,  // reverse the occupant sequence of tiles [a, b]
   kClusterRelocate,      // translate a core + its heaviest neighbors rigidly
 };
@@ -79,16 +79,11 @@ struct SaOptions {
   double cooling = 0.9995;
   double link_capacity_bps = 0.0;    // 0 = unconstrained
   double infeasibility_penalty = 2.0;  // cost multiplier per violation ratio
-  /// Debug baseline: re-run the full O(edges * hops) evaluate_mapping for
-  /// every move instead of the O(deg) delta-cost path.  Kept for A/B
-  /// benchmarking and as the correctness oracle the equivalence tests and
-  /// bench_micro compare against.
-  bool debug_full_eval = false;
 
-  /// Move-mix weights (DESIGN.md §5g).  With the default swap-only mix the
-  /// loop consumes exactly the legacy RNG draw sequence (no selector draw);
-  /// any nonzero non-swap weight switches both SA paths to the shared
-  /// sample_move() stream.  Weights are relative, not normalized.
+  /// Move-mix weights (DESIGN.md §5g).  With the default swap-only mix each
+  /// move is one draw over the T^2 tile-pair space and no selector draw;
+  /// any nonzero non-swap weight adds one selector draw per move (see
+  /// sample_move).  Weights are relative, not normalized.
   double w_swap = 1.0;
   double w_segment_reversal = 0.0;
   double w_cluster_relocate = 0.0;
@@ -139,10 +134,10 @@ struct SaOptions {
   }
 };
 
-/// Draws the next SA move from the configured mix.  Shared by the incremental
-/// and debug_full_eval loops so both consume the identical RNG stream: a
-/// swap-only mix skips the selector draw entirely (preserving the legacy
-/// sequence), mixed runs draw one selector then the kind-specific indices.
+/// Draws the next SA move from the configured mix: a swap-only mix skips the
+/// selector draw entirely (one T^2 pair draw per move), mixed runs draw one
+/// selector then the kind-specific indices.  Public so that a reference SA
+/// loop can consume the identical RNG stream.
 MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
                      std::size_t num_cores);
 
@@ -150,8 +145,8 @@ MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
 /// O(deg(a) + deg(b)) swap moves.  Maintains the per-link load table, the
 /// running communication energy and the busiest-link load for a mapping, and
 /// updates all three by touching only the edges incident to the two swapped
-/// tiles (routes come from a precomputed XyRouteTable).  apply_swap snapshots
-/// every value it mutates, so revert_swap restores the pre-move state
+/// tiles (routes come from a precomputed XyRouteTable).  apply_move snapshots
+/// every value it mutates, so revert_move restores the pre-move state
 /// *bitwise* — rejected moves (the vast majority, late in an SA schedule)
 /// leave no floating-point residue.  Accepted moves accumulate one rounding
 /// step each; the equivalence suite in tests/test_hotpath.cpp pins the drift
@@ -170,48 +165,41 @@ class SwapEvaluator {
                 double infeasibility_penalty = 2.0,
                 const XyRouteTable* shared_routes = nullptr);
 
-  /// Current penalized cost: comm energy, scaled by the same overload
-  /// penalty sa_mapping's full-evaluation path applies.
+  /// Current penalized cost: comm energy, scaled by
+  /// 1 + infeasibility_penalty * (max link load / capacity - 1) when the
+  /// busiest link exceeds a positive capacity.
   double cost();
   double comm_energy_j() const { return energy_j_; }
   /// Load of the busiest directed link (lazily rescanned after a decrement
   /// dethroned the previous maximum).  Loads are maintained across moves
   /// only under a bandwidth constraint (link_capacity_bps > 0) — they only
   /// feed the overload penalty, so unconstrained runs skip the bookkeeping;
-  /// there this reflects the mapping as of the last rebuild().
+  /// there this reflects the mapping the evaluator was constructed with.
   double max_link_load_bps();
 
   const Mapping& mapping() const { return m_; }
   std::size_t occupant(TileId t) const { return occupant_[t]; }
 
-  /// Swaps the contents of tiles a and b (core<->core or core<->empty) and
-  /// returns the new penalized cost.  Cost of the update is
-  /// O((deg(a)+deg(b)) * mean_hops) link-load adjustments.
-  double apply_swap(TileId a, TileId b);
-
-  /// Applies a full move descriptor (swap / segment reversal / cluster
+  /// Applies a move descriptor (swap / segment reversal / cluster
   /// relocation) as one transaction and returns the new penalized cost.
-  /// Every move is executed as the tile-content swap sequence expand_move
-  /// derives from the pre-move placement, each swap O(deg)-incremental, so
-  /// a k-swap move costs k swap updates and reverts bitwise like a single
-  /// swap (DESIGN.md §5g).
+  /// Every move is executed as the tile-content swap sequence derived from
+  /// the pre-move placement, each swap O((deg(a)+deg(b)) * mean_hops)
+  /// link-load adjustments, so a k-swap move costs k swap updates and
+  /// reverts bitwise like a single swap (DESIGN.md §5g).  A swap of tiles
+  /// a and b exchanges their contents (core<->core or core<->empty).
   double apply_move(const MoveDesc& mv);
 
-  /// Restores the exact pre-apply state (bitwise) of the pending move,
-  /// whether opened by apply_swap or apply_move.  Only valid once per move.
+  /// Restores the exact pre-apply state (bitwise) of the pending move.
+  /// Only valid once per move.
   void revert_move();
-  void revert_swap() { revert_move(); }
 
-  /// Accepts the pending move: discards the undo log.  Every apply_* must
-  /// be resolved by exactly one commit or revert.
+  /// Accepts the pending move: discards the undo log.  Every apply_move
+  /// must be resolved by exactly one commit_move or revert_move.
   void commit_move() { move_open_ = false; }
-  void commit_swap() { move_open_ = false; }
-
-  /// Recomputes every cached quantity from the mapping (drift control /
-  /// debugging; never required by sa_mapping).
-  void rebuild();
 
  private:
+  // Computes every cached quantity from the mapping in edge order.
+  void rebuild();
   void begin_move();
   void swap_step(TileId a, TileId b);
   void add_route_load(TileId src, TileId dst, double bw);
@@ -258,9 +246,11 @@ class SwapEvaluator {
   bool move_open_ = false;
 };
 
-/// Simulated-annealing energy-aware mapping (swap moves, Metropolis accept).
-/// Starts from the greedy seed; equivalent to
-/// sa_mapping_from(greedy_mapping(...)).
+/// Simulated-annealing energy-aware mapping (moves from the SaOptions mix,
+/// Metropolis accept, costs from the incremental SwapEvaluator).  Starts
+/// from the greedy seed; equivalent to sa_mapping_from(greedy_mapping(...)).
+/// The full-evaluation reference loop the tests and bench_micro compare it
+/// against lives in tests/support/sa_oracle.hpp, outside the library.
 Mapping sa_mapping(const AppGraph& g, const Mesh2D& mesh,
                    const EnergyModel& energy, sim::Rng& rng,
                    const SaOptions& opts = {});

@@ -191,29 +191,46 @@ TEST(ExplorerDeterminism, SynthesisThreadCountInvariant) {
   expect_identical(serial.design, parallel.design);
 }
 
+// A reported candidate's evaluation must be exactly what a direct, uncached
+// evaluate_design returns.
+void expect_direct_evaluation(const Application& app, const Platform& plat,
+                              const DesignCandidate& c) {
+  const Evaluation direct = evaluate_design(app, plat, c.mapping, c.use_dvs);
+  EXPECT_EQ(c.eval.total_energy_j, direct.total_energy_j);
+  EXPECT_EQ(c.eval.schedule.makespan_s, direct.schedule.makespan_s);
+  EXPECT_EQ(c.eval.comm.comm_energy_j, direct.comm.comm_energy_j);
+  EXPECT_EQ(c.eval.comm.max_link_load_bps, direct.comm.max_link_load_bps);
+  EXPECT_EQ(c.eval.average_power_w, direct.average_power_w);
+  EXPECT_EQ(c.eval.platform_cost, direct.platform_cost);
+  EXPECT_EQ(c.eval.feasible, direct.feasible);
+}
+
 TEST(ExplorerDeterminism, EvaluationCacheNeverChangesResults) {
   const Application app = exploration_app(11, 12);
   const Platform plat = Platform::homogeneous(4, 4);
   ExploreOptions opts;
   opts.restarts = 2;
   opts.sa.iterations = 1500;
-
-  opts.use_cache = false;
-  Rng cold_rng(9);
-  const ExploreResult cold = explore(app, plat, cold_rng, opts);
-
-  opts.use_cache = true;
   EvalCache cache;
   opts.cache = &cache;
-  Rng warm_rng(9);
-  const ExploreResult warm1 = explore(app, plat, warm_rng, opts);
-  Rng warm_rng2(9);
-  const ExploreResult warm2 = explore(app, plat, warm_rng2, opts);
 
-  expect_identical(cold, warm1);
-  expect_identical(cold, warm2);       // fully-cached re-run: same answer
-  EXPECT_GT(cache.hits(), 0u);         // second run hit the cache
-  EXPECT_GT(cache.misses(), 0u);
+  Rng cold_rng(9);
+  const ExploreResult cold = explore(app, plat, cold_rng, opts);
+  ASSERT_TRUE(cold.found_feasible);
+  EXPECT_EQ(cache.hits() + cache.misses(), cold.evaluated);  // all cached
+  expect_direct_evaluation(app, plat, cold.best);
+  for (const DesignCandidate& c : cold.pareto) {
+    expect_direct_evaluation(app, plat, c);
+  }
+
+  const std::uint64_t cold_hits = cache.hits();
+  const std::uint64_t cold_misses = cache.misses();
+  Rng warm_rng(9);
+  const ExploreResult warm = explore(app, plat, warm_rng, opts);
+  expect_identical(cold, warm);  // fully cached re-run: same answer
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_EQ(cache.hits() - cold_hits, warm.evaluated);  // every job hit
+  EXPECT_EQ(cache.misses(), cold_misses);
   EXPECT_EQ(cache.size(), cache.misses());
 }
 

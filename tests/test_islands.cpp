@@ -11,6 +11,7 @@
 #include "core/islands.hpp"
 #include "core/platform.hpp"
 #include "exec/error.hpp"
+#include "exec/rng_stream.hpp"
 #include "noc/taskgraph.hpp"
 
 namespace {
@@ -267,6 +268,116 @@ TEST(Islands, CorruptingAnyByteThrowsRuntimeError) {
   std::vector<std::uint8_t> truncated(blob.begin(), blob.end() - 8);
   EXPECT_THROW(IslandExplorer::resume(app, plat, opts, truncated),
                holms::RuntimeError);
+}
+
+// ---- checkpoint re-seal mutator --------------------------------------------
+//
+// A field edit alone only trips the trailing digest.  reseal() recomputes
+// it (fold chain from the "ckpdig" seed over every word before it), so an
+// edited blob reaches the field validators behind the integrity check.
+
+std::vector<std::uint64_t> to_words(const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint64_t> words(bytes.size() / 8, 0);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    words[i / 8] |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i % 8));
+  }
+  return words;
+}
+
+std::vector<std::uint8_t> to_bytes(const std::vector<std::uint64_t>& words) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t w : words) {
+    for (std::size_t k = 0; k < 8; ++k) {
+      bytes.push_back(static_cast<std::uint8_t>(w >> (8 * k)));
+    }
+  }
+  return bytes;
+}
+
+void reseal(std::vector<std::uint64_t>& words) {
+  std::uint64_t digest = 0x636b70646967ULL;
+  for (std::size_t i = 0; i + 1 < words.size(); ++i) {
+    digest = holms::exec::splitmix64(
+        digest ^ holms::exec::splitmix64(words[i]));
+  }
+  words.back() = digest;
+}
+
+// Word offsets of the version-2 layout's length fields: header words 0-9,
+// the island count at 10, then per island an incumbent mapping (size word +
+// one tile per core), has_best and an optional candidate (mapping, use_dvs,
+// three scores), then found_feasible and an optional best, the front count
+// and the trajectory count.
+struct CheckpointLayout {
+  std::size_t island_count = 10;
+  std::size_t first_tile = 12;  // island 0's incumbent, core 0
+  std::size_t front_count = 0;
+  std::size_t trajectory_count = 0;
+};
+
+CheckpointLayout walk_checkpoint(const std::vector<std::uint64_t>& w,
+                                 std::size_t nodes) {
+  const std::size_t candidate_words = 1 + nodes + 4;
+  CheckpointLayout at;
+  std::size_t pos = at.island_count + 1;
+  for (std::uint64_t i = 0; i < w[at.island_count]; ++i) {
+    pos += 1 + nodes;
+    if (w[pos++] != 0) pos += candidate_words;
+  }
+  if (w[pos++] != 0) pos += candidate_words;
+  at.front_count = pos;
+  pos += 1 + w[pos] * candidate_words;
+  at.trajectory_count = pos;
+  return at;
+}
+
+TEST(Islands, ResealedMalformedFieldsThrowRuntimeError) {
+  const Application app = island_app();
+  const Platform plat = Platform::homogeneous(4, 4);
+  const IslandOptions opts = small_opts(2, 2);
+  Rng rng(42);
+  IslandExplorer ex(app, plat, rng, opts);
+  ex.step(1);
+  const std::vector<std::uint64_t> words = to_words(ex.checkpoint());
+  const std::size_t nodes = app.graph.num_nodes();
+  const CheckpointLayout at = walk_checkpoint(words, nodes);
+  ASSERT_EQ(words[at.first_tile - 1], nodes);
+  ASSERT_EQ(words[at.trajectory_count], 1u);  // one epoch recorded
+  ASSERT_EQ(at.trajectory_count + 3, words.size() - 1);
+
+  // Re-sealing the unedited blob must leave it resumable, so every case
+  // below fails on its field, not on the digest.
+  std::vector<std::uint64_t> same = words;
+  reseal(same);
+  ASSERT_EQ(same, words);
+  EXPECT_NO_THROW(IslandExplorer::resume(app, plat, opts, to_bytes(same)));
+
+  struct Case {
+    const char* what;
+    std::size_t word;
+    std::uint64_t value;
+  };
+  const std::uint64_t two40 = std::uint64_t{1} << 40;
+  const std::uint64_t two62 = std::uint64_t{1} << 62;
+  for (const Case& c :
+       {Case{"version 1", 1, 1},
+        Case{"island count + 1", at.island_count, words[at.island_count] + 1},
+        Case{"island count - 1", at.island_count, words[at.island_count] - 1},
+        Case{"front count 2^40", at.front_count, two40},
+        Case{"front count 2^62", at.front_count, two62},
+        Case{"trajectory count 2^40", at.trajectory_count, two40},
+        Case{"tile outside the mesh", at.first_tile, plat.mesh.num_tiles()}}) {
+    std::vector<std::uint64_t> bad = words;
+    bad[c.word] = c.value;
+    reseal(bad);
+    try {
+      IslandExplorer::resume(app, plat, opts, to_bytes(bad));
+      ADD_FAILURE() << c.what << ": resumed without error";
+    } catch (const holms::RuntimeError& e) {
+      EXPECT_EQ(std::string(e.what()).find("digest"), std::string::npos)
+          << c.what << ": " << e.what();
+    }
+  }
 }
 
 TEST(Islands, ResumeRejectsMismatchedPlatformOptionsAndScenario) {
