@@ -113,7 +113,6 @@ struct IslandRun {
 };
 
 IslandRun run_islands(const Application& app, const Platform& plat,
-                      const holms::noc::XyRouteTable& routes,
                       std::size_t islands, std::size_t epochs,
                       std::size_t sa_iters, std::size_t threads) {
   IslandOptions opts;
@@ -126,7 +125,6 @@ IslandRun run_islands(const Application& app, const Platform& plat,
   // aggregation link in one step (see the move-mix verdict below).
   opts.sa.initial_temperature = 0.02;
   opts.sa.w_cluster_relocate = 0.3;
-  opts.sa.routes = &routes;
   opts.threads = threads;
   Rng rng(42);
   const auto t0 = std::chrono::steady_clock::now();
@@ -178,18 +176,12 @@ int main() {
                      "epochs (same SA budget per island per epoch)");
   const Application farm = farm_app();
   const Platform mesh32 = farm_platform();
-  // One shared route table (~90 MB at 32x32) for every island run and the
-  // move-mix sweep below.
-  const auto t_routes = std::chrono::steady_clock::now();
-  const holms::noc::XyRouteTable routes32(mesh32.mesh);
-  holms::bench::note("XyRouteTable(32x32) built in " +
-                     std::to_string(seconds_since(t_routes)) + " s");
   const std::size_t kEpochs4 = 6;
   const std::size_t kSaIters = 3000;
   const IslandRun k4 =
-      run_islands(farm, mesh32, routes32, 4, kEpochs4, kSaIters, threads);
+      run_islands(farm, mesh32, 4, kEpochs4, kSaIters, threads);
   const IslandRun k1 =
-      run_islands(farm, mesh32, routes32, 1, 4 * kEpochs4, kSaIters, threads);
+      run_islands(farm, mesh32, 1, 4 * kEpochs4, kSaIters, threads);
 
   std::printf("  K=4 trajectory:");
   for (const auto& [e, j] : k4.trajectory) {
@@ -293,7 +285,6 @@ int main() {
     swap_only.iterations = 50000;
     swap_only.initial_temperature = 0.02;
     swap_only.link_capacity_bps = mesh32.link_bandwidth_bps;
-    swap_only.routes = &routes32;
     holms::noc::SaOptions cluster = swap_only;
     cluster.w_cluster_relocate = 0.5;
 

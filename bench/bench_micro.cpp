@@ -4,7 +4,8 @@
 //
 // Custom main(): besides the google-benchmark tables, a set of hand-timed
 // headline rates (SA moves/s full vs incremental, stationary solve wall
-// time, simulator events/s, scalar-vs-SIMD kernel speedups) is written into
+// time, simulator events/s, fault-tolerant NoC replay cycles/s,
+// scalar-vs-SIMD kernel speedups) is written into
 // BENCH_micro.json — the CI perf-smoke job gates those numbers against
 // bench/thresholds.json.
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include "bench_util.hpp"
 #include "exec/aligned.hpp"
 #include "exec/simd.hpp"
+#include "fault/schedule.hpp"
 #include "markov/chain.hpp"
 #include "markov/jackson.hpp"
 #include "markov/queueing.hpp"
@@ -287,6 +289,40 @@ double sim_events_per_s() {
   return static_cast<double>(kEvents) / dt;
 }
 
+// Cycles/s of a 16x16 kFaultTolerant replay (transpose traffic) under a
+// whole-row cut: every horizontal link of row 8 fails at cycle 50 and the
+// links come back one at a time every 20 cycles.  Each event starts a fault
+// epoch in which head flits re-run the per-destination admit BFS, so the
+// rate follows the BFS's cost.
+double noc_ft_cycles_per_s() {
+  using holms::fault::FaultKind;
+  using holms::fault::Target;
+  const holms::noc::Mesh2D mesh(16, 16);
+  const std::size_t per_row = mesh.width() - 1;
+  std::vector<holms::fault::FaultEvent> trace;
+  for (std::size_t i = 0; i < per_row; ++i) {
+    trace.push_back({50.0, FaultKind::kFail, Target::kLink, 8 * per_row + i});
+    trace.push_back({100.0 + 20.0 * static_cast<double>(i), FaultKind::kRepair,
+                     Target::kLink, 8 * per_row + i});
+  }
+  const auto sched = holms::fault::FaultSchedule::from_trace(trace);
+  holms::noc::NocSim::Config cfg;
+  cfg.virtual_channels = 2;
+  cfg.routing = holms::noc::RoutingAlgo::kFaultTolerant;
+  holms::noc::NocSim sim(mesh, cfg, holms::sim::Rng(3));
+  holms::noc::add_pattern_flows(sim, mesh,
+                                holms::noc::TrafficPattern::kTranspose, 0.05,
+                                4);
+  sim.attach_fault_schedule(&sched);
+  constexpr std::uint64_t kCycles = 400;
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.run(kCycles);
+  const double dt = seconds_since(t0);
+  const auto st = sim.stats();
+  benchmark::DoNotOptimize(st.packets_delivered);
+  return static_cast<double>(kCycles) / dt;
+}
+
 // Banded chain (band neighbors each side, forward drift): n=4096 with band 8
 // gives ~69k nonzeros — comfortably past the sharding floors.
 holms::markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
@@ -526,6 +562,10 @@ void headline_metrics(holms::bench::BenchReport& report) {
   const double events = sim_events_per_s();
   report.set("sim_events_per_s", events);
   std::printf("-- simulator events/s: %.3g\n", events);
+
+  const double ft_cycles = noc_ft_cycles_per_s();
+  report.set("noc_ft_cycles_per_s", ft_cycles);
+  std::printf("-- 16x16 FT replay under a row cut: %.3g cycles/s\n", ft_cycles);
 
   simd_kernel_metrics(report);
   threaded_solve_metrics(report);

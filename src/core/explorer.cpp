@@ -212,16 +212,10 @@ ExploreResult explore(const Application& app, const Platform& platform,
   const std::size_t num_mappings = 1 + 2 * opts.restarts;
   exec::count("explore.restarts", opts.restarts);
 
-  // One SaOptions copy and one route table for every restart: the table is
-  // O(tiles^2 * mean_hops) — ~90 MB at 32x32 — so per-restart construction
-  // would multiply that by the pool width.
+  // One SaOptions copy for every restart, priced against the platform's
+  // link capacity.
   noc::SaOptions sa_base = opts.sa;
   sa_base.link_capacity_bps = platform.link_bandwidth_bps;
-  std::optional<noc::XyRouteTable> shared_routes;
-  if (opts.restarts > 0 && sa_base.routes == nullptr) {
-    shared_routes.emplace(platform.mesh);
-    sa_base.routes = &*shared_routes;
-  }
 
   const std::vector<noc::Mapping> mappings =
       exec::parallel_transform<noc::Mapping>(

@@ -169,13 +169,6 @@ IslandExplorer::IslandExplorer(const Application& app,
 
   sa_base_ = opts_.sa;
   sa_base_.link_capacity_bps = platform_.link_bandwidth_bps;
-  if (opts_.sa_runs_per_epoch > 0 && sa_base_.routes == nullptr) {
-    // One shared table for every refinement on every island: it is
-    // O(tiles^2 * mean_hops) — ~90 MB at 32x32 — so per-run construction
-    // would multiply that by islands * pool width.
-    owned_routes_ = std::make_unique<noc::XyRouteTable>(platform_.mesh);
-    sa_base_.routes = owned_routes_.get();
-  }
 
   if (!resumed) {
     islands_.resize(opts_.islands);

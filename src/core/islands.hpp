@@ -185,11 +185,8 @@ class IslandExplorer {
   std::uint64_t platform_fp_ = 0;
 
   /// SaOptions actually used per refinement: opts_.sa with the platform's
-  /// link capacity and (unless the caller supplied one) a pointer to the
-  /// explorer-owned shared route table.  heap-owned so the pointer stays
-  /// valid if the explorer itself is moved (resume() returns by value).
+  /// link capacity.
   noc::SaOptions sa_base_{};
-  std::unique_ptr<noc::XyRouteTable> owned_routes_;
 
   std::vector<Island> islands_;
   ParetoAccumulator acc_;

@@ -45,18 +45,13 @@ MappingEval evaluate_mapping(const AppGraph& g, const Mesh2D& mesh,
   link_load.assign(mesh.num_links(), 0.0);
   double vol = 0.0, vol_hops = 0.0;
   for (const auto& e : g.edges()) {
-    const TileId src = m[e.src], dst = m[e.dst];
-    const std::size_t h = mesh.hops(src, dst);
+    const XyRoute route = mesh.xy_links(m[e.src], m[e.dst]);
+    const std::size_t h = route.hops();
     ev.comm_energy_j += energy.transfer_energy(e.volume_bits, h);
     vol += e.volume_bits;
     vol_hops += e.volume_bits * static_cast<double>(h);
     const double bw = e.bandwidth_bps > 0.0 ? e.bandwidth_bps : e.volume_bits;
-    TileId cur = src;
-    while (cur != dst) {
-      const Dir d = mesh.xy_next(cur, dst);
-      link_load[mesh.link_index(cur, d)] += bw;
-      cur = mesh.neighbor(cur, d);
-    }
+    route.for_each_link([&](std::uint32_t link) { link_load[link] += bw; });
   }
   ev.volume_weighted_hops = vol > 0.0 ? vol_hops / vol : 0.0;
   ev.max_link_load_bps =
@@ -359,16 +354,11 @@ SwapEvaluator::SwapEvaluator(const AppGraph& g, const Mesh2D& mesh,
       energy_(energy),
       capacity_(link_capacity_bps),
       penalty_(infeasibility_penalty),
+      routes_(shared_routes != nullptr ? *shared_routes : XyRouteTable(mesh)),
       m_(std::move(m)) {
-  if (shared_routes != nullptr) {
-    if (shared_routes->tiles() != mesh.num_tiles()) {
-      throw holms::InvalidArgument(
-          "SwapEvaluator: shared route table was built for a different mesh");
-    }
-    routes_ = shared_routes;
-  } else {
-    owned_routes_.emplace(mesh);
-    routes_ = &*owned_routes_;
+  if (routes_.tiles() != mesh.num_tiles()) {
+    throw holms::InvalidArgument(
+        "SwapEvaluator: shared route table was built for a different mesh");
   }
   if (m_.size() != g_.num_nodes()) {
     throw holms::InvalidArgument("SwapEvaluator: mapping size mismatch");
@@ -393,12 +383,10 @@ void SwapEvaluator::rebuild() {
   // evaluation of the same mapping.
   energy_j_ = 0.0;
   for (const auto& e : g_.edges()) {
-    const TileId src = m_[e.src], dst = m_[e.dst];
-    energy_j_ += energy_.transfer_energy(e.volume_bits, routes_->hops(src, dst));
+    const XyRoute route = routes_.links(m_[e.src], m_[e.dst]);
+    energy_j_ += energy_.transfer_energy(e.volume_bits, route.hops());
     const double bw = e.bandwidth_bps > 0.0 ? e.bandwidth_bps : e.volume_bits;
-    for (const std::uint32_t link : routes_->links(src, dst)) {
-      link_load_[link] += bw;
-    }
+    route.for_each_link([&](std::uint32_t link) { link_load_[link] += bw; });
   }
   max_load_ = link_load_.empty()
                   ? 0.0
@@ -429,23 +417,23 @@ double SwapEvaluator::cost() {
 }
 
 void SwapEvaluator::add_route_load(TileId src, TileId dst, double bw) {
-  for (const std::uint32_t link : routes_->links(src, dst)) {
+  routes_.links(src, dst).for_each_link([&](std::uint32_t link) {
     double& load = link_load_[link];
     undo_links_.emplace_back(link, load);
     load += bw;
     if (!max_dirty_ && load > max_load_) max_load_ = load;
-  }
+  });
 }
 
 void SwapEvaluator::sub_route_load(TileId src, TileId dst, double bw) {
-  for (const std::uint32_t link : routes_->links(src, dst)) {
+  routes_.links(src, dst).for_each_link([&](std::uint32_t link) {
     double& load = link_load_[link];
     undo_links_.emplace_back(link, load);
     // Decrementing the busiest link dethrones the cached maximum; rescan
     // lazily on the next cost() instead of per adjustment.
     if (load == max_load_) max_dirty_ = true;
     load -= bw;
-  }
+  });
 }
 
 void SwapEvaluator::begin_move() {
@@ -485,8 +473,8 @@ void SwapEvaluator::swap_step(TileId a, TileId b) {
     const TileId ns = tile_after(e.src), nd = tile_after(e.dst);
     if (os == ns && od == nd) return;  // both endpoints moved in lockstep
     delta_vol_.push_back(e.volume_bits);
-    delta_old_hops_.push_back(static_cast<double>(routes_->hops(os, od)));
-    delta_new_hops_.push_back(static_cast<double>(routes_->hops(ns, nd)));
+    delta_old_hops_.push_back(static_cast<double>(routes_.hops(os, od)));
+    delta_new_hops_.push_back(static_cast<double>(routes_.hops(ns, nd)));
     if (track_loads) {
       const double bw =
           e.bandwidth_bps > 0.0 ? e.bandwidth_bps : e.volume_bits;

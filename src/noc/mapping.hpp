@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -95,11 +94,9 @@ struct SaOptions {
   std::size_t reheat_after = 0;
   double reheat_factor = 8.0;
 
-  /// Optional precomputed route table for the target mesh, shared read-only
-  /// across concurrent SA runs.  The table is O(tiles^2 * mean_hops) — ~90 MB
-  /// at 32x32 — so the explorers build exactly one and hand it to every
-  /// restart / island instead of letting each SwapEvaluator rebuild its own.
-  /// nullptr = the evaluator builds (and owns) a private table.
+  /// Optional route table for the target mesh (its tile count is checked
+  /// against the mesh); nullptr = the evaluator builds its own.  The table is
+  /// O(tiles), so either way each SwapEvaluator holds a private copy.
   const XyRouteTable* routes = nullptr;
 
   /// Contract rule C001; called by sa_mapping.
@@ -145,7 +142,7 @@ MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
 /// O(deg(a) + deg(b)) swap moves.  Maintains the per-link load table, the
 /// running communication energy and the busiest-link load for a mapping, and
 /// updates all three by touching only the edges incident to the two swapped
-/// tiles (routes come from a precomputed XyRouteTable).  apply_move snapshots
+/// tiles (routes are XyRouteTable's closed-form legs).  apply_move snapshots
 /// every value it mutates, so revert_move restores the pre-move state
 /// *bitwise* — rejected moves (the vast majority, late in an SA schedule)
 /// leave no floating-point residue.  Accepted moves accumulate one rounding
@@ -157,8 +154,8 @@ class SwapEvaluator {
   static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
 
   /// `shared_routes` (optional) is a caller-owned XyRouteTable for `mesh`,
-  /// shared read-only across evaluators; nullptr builds a private table.
-  /// Throws holms::InvalidArgument when the table's tile count mismatches.
+  /// copied in; nullptr builds the table from `mesh`.  Throws
+  /// holms::InvalidArgument when the table's tile count mismatches.
   SwapEvaluator(const AppGraph& g, const Mesh2D& mesh,
                 const EnergyModel& energy, Mapping m,
                 double link_capacity_bps = 0.0,
@@ -211,8 +208,7 @@ class SwapEvaluator {
   double capacity_;
   double penalty_;
 
-  std::optional<XyRouteTable> owned_routes_;  // absent when sharing
-  const XyRouteTable* routes_;                // table in use (owned or shared)
+  XyRouteTable routes_;
   // Incident-occurrence CSR: for each core, the edges touching it, encoded
   // as edge_index * 2 + (1 if the core is the edge's src endpoint).
   std::vector<std::uint32_t> inc_offsets_;

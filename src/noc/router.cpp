@@ -42,6 +42,50 @@ NocSim::NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng)
   if (cfg_.routing == RoutingAlgo::kFaultTolerant) {
     ft_tables_.resize(mesh_.num_tiles());
   }
+  const std::size_t T = mesh_.num_tiles();
+  nbr_.assign(T * kNumPorts, kNoTile);
+  turn_moves_.assign(T * kNumPorts, 0);
+  live_moves_.assign(T, 0);
+  constexpr auto bit = [](Dir d) { return 1u << port_of(d); };
+  for (TileId t = 0; t < T; ++t) {
+    unsigned on_mesh = 0;
+    for (std::size_t d = 1; d < kNumPorts; ++d) {
+      if (!mesh_.has_neighbor(t, static_cast<Dir>(d))) continue;
+      nbr_[t * kNumPorts + d] =
+          static_cast<std::uint32_t>(mesh_.neighbor(t, static_cast<Dir>(d)));
+      on_mesh |= 1u << d;
+    }
+    // Odd-even turn model (Chiu): EN/ES turns forbidden in even columns,
+    // NW/SW turns forbidden in odd columns.  The prohibited-turn set is
+    // static — independent of fault state — which is what keeps every
+    // reconfigured admit table deadlock-free (DESIGN.md §5e).
+    const bool even_col = mesh_.x_of(t) % 2 == 0;
+    for (std::size_t in = 0; in < kNumPorts; ++in) {
+      const Dir prev = entry_port(static_cast<Dir>(in));  // previous hop
+      unsigned banned = 1u << in;  // no 180° turn back out of the entry port
+      if (prev == Dir::kEast && even_col) {
+        banned |= bit(Dir::kNorth) | bit(Dir::kSouth);
+      }
+      if ((prev == Dir::kNorth || prev == Dir::kSouth) && !even_col) {
+        banned |= bit(Dir::kWest);
+      }
+      turn_moves_[t * kNumPorts + in] =
+          static_cast<std::uint8_t>(on_mesh & ~banned);
+    }
+    refresh_live_moves(t);
+  }
+}
+
+void NocSim::refresh_live_moves(TileId t) {
+  std::uint8_t mask = 0;
+  for (std::size_t m = 1; m < kNumPorts; ++m) {
+    const std::uint32_t nb = nbr_[t * kNumPorts + m];
+    if (nb != kNoTile && router_up(t) && router_up(nb) &&
+        link_up(t, static_cast<Dir>(m))) {
+      mask |= static_cast<std::uint8_t>(1u << m);
+    }
+  }
+  live_moves_[t] = mask;
 }
 
 void NocSim::arm_faults() {
@@ -77,6 +121,8 @@ void NocSim::set_link_up(TileId t, Dir d, bool up) {
   const bool was_up = link_up_[mesh_.link_index(t, d)] != 0;
   link_up_[mesh_.link_index(t, d)] = v;
   link_up_[mesh_.link_index(nb, entry_port(d))] = v;
+  refresh_live_moves(t);
+  refresh_live_moves(nb);
   if (was_up && !up) {
     // Drop worms currently allocated across either directed channel: their
     // flits straddle (or are about to straddle) a link that no longer exists.
@@ -107,6 +153,11 @@ void NocSim::set_router_up(TileId t, bool up) {
   arm_faults();
   const bool was_up = router_up_[t] != 0;
   router_up_[t] = up ? 1 : 0;
+  refresh_live_moves(t);
+  for (std::size_t d = 1; d < kNumPorts; ++d) {
+    const std::uint32_t nb = nbr_[t * kNumPorts + d];
+    if (nb != kNoTile) refresh_live_moves(nb);
+  }
   if (was_up && !up) {
     std::unordered_set<std::uint64_t> doomed;
     const std::size_t vcs = cfg_.virtual_channels;
@@ -202,44 +253,21 @@ void NocSim::purge_packets(const std::unordered_set<std::uint64_t>& pids) {
   dropped_ += pids.size();
 }
 
-bool NocSim::move_legal(TileId t_from, Dir in_from, Dir move) const {
-  if (move == Dir::kLocal || move == in_from) return false;  // no 180° turns
-  if (!mesh_.has_neighbor(t_from, move)) return false;
-  if (!link_live(t_from, move) || !router_live(t_from) ||
-      !router_live(mesh_.neighbor(t_from, move))) {
-    return false;
-  }
-  if (in_from != Dir::kLocal) {
-    // Odd-even turn model (Chiu): EN/ES turns forbidden in even columns,
-    // NW/SW turns forbidden in odd columns.  The prohibited-turn set is
-    // static — independent of fault state — which is what keeps every
-    // reconfigured route table deadlock-free (DESIGN.md §5e).
-    const Dir prev = entry_port(in_from);  // direction of the previous hop
-    const bool even_col = mesh_.x_of(t_from) % 2 == 0;
-    if (prev == Dir::kEast && even_col &&
-        (move == Dir::kNorth || move == Dir::kSouth)) {
-      return false;
-    }
-    if ((prev == Dir::kNorth || prev == Dir::kSouth) && !even_col &&
-        move == Dir::kWest) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void NocSim::compute_ft_admit(TileId dst, std::uint8_t* admit) const {
-  const std::size_t T = mesh_.num_tiles();
+  const std::size_t states = mesh_.num_tiles() * kNumPorts;
   constexpr std::uint32_t kInf = 0xffffffffu;
   // Reverse BFS from the destination over (tile, in_port) states: a state
   // records through which port the worm *entered* the tile, because the
-  // turn model constrains the next move by the previous one.
-  ft_dist_.assign(T * kNumPorts, kInf);
+  // turn model constrains the next move by the previous one.  A move is
+  // legal when both the static turn mask and the tile's live mask admit it.
+  // Popping a state at distance d admits the move into it on every legal
+  // predecessor at distance d + 1: exactly the predecessor's shortest moves.
+  std::fill(admit, admit + states, std::uint8_t{0});
+  ft_dist_.assign(states, kInf);
   ft_queue_.clear();
-  ft_queue_.reserve(T * kNumPorts);
   std::vector<std::uint32_t>& dist = ft_dist_;
   std::vector<std::uint32_t>& queue = ft_queue_;
-  if (router_live(dst)) {
+  if (router_up(dst)) {
     for (std::size_t in = 0; in < kNumPorts; ++in) {
       dist[dst * kNumPorts + in] = 0;
       queue.push_back(static_cast<std::uint32_t>(dst * kNumPorts + in));
@@ -247,38 +275,26 @@ void NocSim::compute_ft_admit(TileId dst, std::uint8_t* admit) const {
   }
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const std::size_t state = queue[qi];
-    const TileId t_to = state / kNumPorts;
-    const Dir in_to = static_cast<Dir>(state % kNumPorts);
-    // kLocal entry states are injection-only: no move produces them.
-    if (in_to == Dir::kLocal || !mesh_.has_neighbor(t_to, in_to)) continue;
-    const Dir d_move = entry_port(in_to);  // the move that entered via in_to
-    const TileId t_from = mesh_.neighbor(t_to, in_to);
-    for (std::size_t in_from = 0; in_from < kNumPorts; ++in_from) {
-      if (!move_legal(t_from, static_cast<Dir>(in_from), d_move)) continue;
-      const std::size_t s2 = t_from * kNumPorts + in_from;
+    // The tile the worm entered from; kLocal entry states are
+    // injection-only and off-mesh ports have no such tile.
+    const std::uint32_t t_from = nbr_[state];
+    if (t_from == kNoTile) continue;
+    const std::size_t move =  // the move that entered via this port
+        port_of(entry_port(static_cast<Dir>(state % kNumPorts)));
+    if (!((live_moves_[t_from] >> move) & 1u)) continue;
+    const std::uint32_t d = dist[state] + 1;
+    for (std::size_t s2 = t_from * kNumPorts; s2 < (t_from + 1) * kNumPorts;
+         ++s2) {
+      if (!((turn_moves_[s2] >> move) & 1u)) continue;
       if (dist[s2] == kInf) {
-        dist[s2] = dist[state] + 1;
+        dist[s2] = d;
         queue.push_back(static_cast<std::uint32_t>(s2));
       }
+      if (dist[s2] == d) admit[s2] |= static_cast<std::uint8_t>(1u << move);
     }
   }
-  for (TileId t = 0; t < T; ++t) {
-    for (std::size_t in = 0; in < kNumPorts; ++in) {
-      std::uint8_t mask = 0;
-      if (t == dst) {
-        mask = 1u << port_of(Dir::kLocal);
-      } else if (dist[t * kNumPorts + in] != kInf) {
-        const std::uint32_t d = dist[t * kNumPorts + in];
-        for (std::size_t m = 1; m < kNumPorts; ++m) {
-          const Dir dm = static_cast<Dir>(m);
-          if (!move_legal(t, static_cast<Dir>(in), dm)) continue;
-          const std::size_t s2 = mesh_.neighbor(t, dm) * kNumPorts +
-                                 port_of(entry_port(dm));
-          if (dist[s2] != kInf && dist[s2] + 1 == d) mask |= 1u << m;
-        }
-      }
-      admit[t * kNumPorts + in] = mask;
-    }
+  for (std::size_t in = 0; in < kNumPorts; ++in) {
+    admit[dst * kNumPorts + in] = 1u << port_of(Dir::kLocal);
   }
 }
 
@@ -307,7 +323,7 @@ void NocSim::inject_phase() {
   for (const Flow& f : flows_) {
     if (rng_.bernoulli(f.packets_per_cycle)) {
       ++injected_;
-      if (faults_armed() && !router_live(f.src)) {
+      if (!router_up(f.src)) {
         // The source tile's router is down: the packet is generated by the
         // core but lost at the network interface.  The Bernoulli draw is
         // consumed either way, so the injection sequence of healthy flows
@@ -339,7 +355,7 @@ void NocSim::inject_phase() {
   // VC; a new packet only claims an idle, empty VC (atomic VC allocation).
   const std::size_t v = cfg_.virtual_channels;
   for (TileId t = 0; t < mesh_.num_tiles(); ++t) {
-    if (faults_armed() && !router_live(t)) continue;  // dead NI streams nothing
+    if (!router_up(t)) continue;  // dead NI streams nothing
     SourceState& src = source_[t];
     auto& port = routers_[t].in[port_of(Dir::kLocal)];
     for (;;) {
@@ -438,9 +454,7 @@ void NocSim::allocate_phase() {
         for (std::size_t op = 0; op < kNumPorts; ++op) {
           const Dir out = static_cast<Dir>(op);
           if (!route_admits(t, head.dst, out, static_cast<Dir>(ip))) continue;
-          if (faults_armed() && out != Dir::kLocal &&
-              (!link_live(t, out) ||
-               !router_live(mesh_.neighbor(t, out)))) {
+          if (out != Dir::kLocal && !((live_moves_[t] >> op) & 1u)) {
             continue;  // never allocate onto a dead link or into a dead router
           }
           const int vout = free_downstream_vc(t, out);

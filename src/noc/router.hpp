@@ -172,23 +172,16 @@ class NocSim {
   // --- fault machinery (inert until armed: link_up_ stays empty) ---
   bool faults_armed() const { return !link_up_.empty(); }
   void arm_faults();
-  bool link_live(TileId t, Dir d) const {
-    return link_up_.empty() || link_up_[mesh_.link_index(t, d)] != 0;
-  }
-  bool router_live(TileId t) const {
-    return router_up_.empty() || router_up_[t] != 0;
-  }
+  /// Recomputes live_moves_[t] from the link and router state.
+  void refresh_live_moves(TileId t);
   void apply_fault_event(const fault::FaultEvent& e);
   /// Removes every trace of the given packets: VC allocations (via
   /// cur_packet), buffered flits, and source-queue flits; counts them as
   /// dropped.
   void purge_packets(const std::unordered_set<std::uint64_t>& pids);
-  /// True iff the odd-even turn model admits moving in direction `move` out
-  /// of `t_from` for a worm that entered via `in_from`, over live links only.
-  bool move_legal(TileId t_from, Dir in_from, Dir move) const;
   /// One destination's reverse BFS over the (tile, in_port) state graph on
-  /// live links honoring the turn model: fills `admit` (num_tiles *
-  /// kNumPorts output-direction masks).
+  /// live links honoring the turn model (turn_moves_ & live_moves_): fills
+  /// `admit` (num_tiles * kNumPorts output-direction masks).
   void compute_ft_admit(TileId dst, std::uint8_t* admit) const;
   /// Current-epoch admit table for `dst`, recomputed via compute_ft_admit on
   /// first use after a fault/repair event.
@@ -202,6 +195,18 @@ class NocSim {
   std::vector<SourceState> source_;
   std::uint64_t cycle_ = 0;
   std::uint64_t next_packet_ = 1;
+
+  // Static per-(tile, port) tables, built at construction.  nbr_[t *
+  // kNumPorts + d]: the neighbour in direction d (kNoTile off-mesh and for
+  // kLocal).  turn_moves_[t * kNumPorts + in]: the output directions the
+  // odd-even turn model admits for a worm that entered t via port `in`
+  // (on-mesh, no U-turn).
+  static constexpr std::uint32_t kNoTile = 0xffffffffu;
+  std::vector<std::uint32_t> nbr_;
+  std::vector<std::uint8_t> turn_moves_;
+  // live_moves_[t]: output directions whose link is up with the routers at
+  // both ends up; every fault/repair event refreshes the tiles it touches.
+  std::vector<std::uint8_t> live_moves_;
 
   const fault::FaultSchedule* fault_schedule_ = nullptr;
   fault::FaultInjector injector_;

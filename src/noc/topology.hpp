@@ -6,10 +6,9 @@
 //  embedded within each tile with the objective of connecting it to its
 //  neighboring tiles."
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -22,6 +21,8 @@ using TileId = std::size_t;
 
 enum class Dir : std::uint8_t { kLocal = 0, kNorth, kSouth, kEast, kWest };
 inline constexpr std::size_t kNumPorts = 5;
+
+struct XyRoute;
 
 /// W x H mesh with XY-dimension-ordered routing helpers.
 class Mesh2D {
@@ -42,14 +43,7 @@ class Mesh2D {
   TileId tile_at(std::size_t x, std::size_t y) const { return y * w_ + x; }
 
   /// Manhattan hop distance — the XY-routing path length.
-  std::size_t hops(TileId a, TileId b) const {
-    return static_cast<std::size_t>(
-               std::abs(static_cast<long>(x_of(a)) -
-                        static_cast<long>(x_of(b)))) +
-           static_cast<std::size_t>(
-               std::abs(static_cast<long>(y_of(a)) -
-                        static_cast<long>(y_of(b))));
-  }
+  std::size_t hops(TileId a, TileId b) const;
 
   /// Next output direction under XY routing from `here` toward `dest`.
   Dir xy_next(TileId here, TileId dest) const {
@@ -109,11 +103,15 @@ class Mesh2D {
   std::size_t num_links() const { return num_tiles() * 4; }
 
   /// Dense index of the directed link leaving `from` in direction `d`
-  /// (d != kLocal).  Shared by evaluate_mapping and the route table so link
-  /// loads computed by either agree slot for slot.
-  std::size_t link_index(TileId from, Dir d) const {
+  /// (d != kLocal).  XyRoute numbers its legs with it, so link loads from
+  /// evaluate_mapping, the SA evaluator and the router agree slot for slot.
+  static std::size_t link_index(TileId from, Dir d) {
     return from * 4 + (static_cast<std::size_t>(d) - 1);
   }
+
+  /// The XY route src -> dst as two strided legs of link indices (XyRoute).
+  /// Two div/mod pairs per route, none per hop.
+  XyRoute xy_links(TileId src, TileId dst) const;
 
   /// Number of physical (undirected) inter-tile links: (w-1)*h horizontal +
   /// w*(h-1) vertical.  This is the id namespace fault::FaultSchedule uses
@@ -143,56 +141,84 @@ class Mesh2D {
   std::size_t h_;
 };
 
-/// Precomputed XY routes for every (src, dst) tile pair, stored as spans of
-/// directed-link indices (CSR layout over the pair index src*T+dst).  Walking
-/// a route via xy_next/neighbor costs a div/mod pair per hop; the table
-/// reduces it to a contiguous span load, which is what makes delta-cost
-/// mapping moves O(hops) with a tiny constant.  Memory is O(T^2 * mean_hops)
-/// — fine for the on-chip meshes this library targets (T <= a few hundred).
-class XyRouteTable {
- public:
-  explicit XyRouteTable(const Mesh2D& mesh) : tiles_(mesh.num_tiles()) {
-    offsets_.reserve(tiles_ * tiles_ + 1);
-    offsets_.push_back(0);
-    // Total route length = sum of hop counts; reserve exactly.
-    std::size_t total = 0;
-    for (TileId s = 0; s < tiles_; ++s)
-      for (TileId d = 0; d < tiles_; ++d) total += mesh.hops(s, d);
-    links_.reserve(total);
-    for (TileId s = 0; s < tiles_; ++s) {
-      for (TileId d = 0; d < tiles_; ++d) {
-        TileId cur = s;
-        while (cur != d) {
-          const Dir dir = mesh.xy_next(cur, d);
-          links_.push_back(static_cast<std::uint32_t>(mesh.link_index(cur, dir)));
-          cur = mesh.neighbor(cur, dir);
-        }
-        offsets_.push_back(static_cast<std::uint32_t>(links_.size()));
+/// An XY route as two straight runs of directed-link indices
+/// (Mesh2D::link_index): the X leg (East/West, stride ±4), then the Y leg
+/// (South/North, stride ±4·width).  A leg is empty when the endpoints share
+/// that coordinate, so src == dst is the empty route.
+struct XyRoute {
+  struct Leg {
+    std::ptrdiff_t first = 0;   // link index of the leg's first hop
+    std::ptrdiff_t stride = 0;  // link-index step between consecutive hops
+    std::size_t count = 0;      // hops in the leg
+  };
+  Leg x, y;
+
+  /// The route from tile (sx, sy) to tile (dx, dy) of a mesh `width` wide.
+  XyRoute(std::size_t width, std::size_t sx, std::size_t sy, std::size_t dx,
+          std::size_t dy) {
+    const auto link = [](std::size_t tile, Dir d) {
+      return static_cast<std::ptrdiff_t>(Mesh2D::link_index(tile, d));
+    };
+    const auto row = static_cast<std::ptrdiff_t>(4 * width);
+    const std::size_t src = sy * width + sx, corner = sy * width + dx;
+    x = dx >= sx ? Leg{link(src, Dir::kEast), 4, dx - sx}
+                 : Leg{link(src, Dir::kWest), -4, sx - dx};
+    y = dy >= sy ? Leg{link(corner, Dir::kSouth), row, dy - sy}
+                 : Leg{link(corner, Dir::kNorth), -row, sy - dy};
+  }
+
+  std::size_t hops() const { return x.count + y.count; }
+
+  /// Calls f(link index) for every hop, in route order.
+  template <class F>
+  void for_each_link(F&& f) const {
+    for (const Leg& leg : {x, y}) {
+      std::ptrdiff_t l = leg.first;
+      for (std::size_t k = 0; k < leg.count; ++k, l += leg.stride) {
+        f(static_cast<std::uint32_t>(l));
       }
     }
   }
+};
 
-  /// Directed-link indices of the XY route src -> dst, in route order.
-  std::span<const std::uint32_t> links(TileId src, TileId dst) const {
-    const std::size_t p = src * tiles_ + dst;
-    return {links_.data() + offsets_[p],
-            links_.data() + offsets_[p + 1]};
+inline XyRoute Mesh2D::xy_links(TileId src, TileId dst) const {
+  return XyRoute(w_, x_of(src), y_of(src), x_of(dst), y_of(dst));
+}
+
+inline std::size_t Mesh2D::hops(TileId a, TileId b) const {
+  return xy_links(a, b).hops();
+}
+
+/// XY routes for any (src, dst) tile pair from a per-tile coordinate table:
+/// a route costs two table loads and no div/mod, which keeps the delta-cost
+/// mapping moves O(hops) with a tiny constant.  Memory is O(tiles).
+class XyRouteTable {
+ public:
+  explicit XyRouteTable(const Mesh2D& mesh) : width_(mesh.width()) {
+    xy_.reserve(mesh.num_tiles());
+    for (TileId t = 0; t < mesh.num_tiles(); ++t) {
+      xy_.push_back({static_cast<std::uint32_t>(mesh.x_of(t)),
+                     static_cast<std::uint32_t>(mesh.y_of(t))});
+    }
   }
 
-  /// Hop count (route length) — same value as Mesh2D::hops, table lookup.
+  /// The XY route src -> dst; the same legs as Mesh2D::xy_links.
+  XyRoute links(TileId src, TileId dst) const {
+    return XyRoute(width_, xy_[src][0], xy_[src][1], xy_[dst][0], xy_[dst][1]);
+  }
+
+  /// Hop count (route length) — same value as Mesh2D::hops.
   std::size_t hops(TileId src, TileId dst) const {
-    const std::size_t p = src * tiles_ + dst;
-    return offsets_[p + 1] - offsets_[p];
+    return links(src, dst).hops();
   }
 
   /// Number of tiles the table was built for (mesh-compatibility checks when
-  /// one table is shared across SA runs).
-  std::size_t tiles() const { return tiles_; }
+  /// a caller supplies the table).
+  std::size_t tiles() const { return xy_.size(); }
 
  private:
-  std::size_t tiles_;
-  std::vector<std::uint32_t> offsets_;  // pair index -> start in links_
-  std::vector<std::uint32_t> links_;
+  std::size_t width_;
+  std::vector<std::array<std::uint32_t, 2>> xy_;  // tile -> (x, y)
 };
 
 /// Bit-energy model in the style of Hu–Marculescu [20][23]:

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/ambient.hpp"
@@ -238,26 +239,42 @@ holms::noc::NocStats run_ft_replay(const holms::noc::Mesh2D& mesh,
 }
 
 TEST(NocFault, FtRoutingMatchesPinnedAllDestinationTables) {
-  // The pinned stats come from the eager router, which rebuilt the admit
-  // table of every destination on each fault/repair event.  The lazy
-  // per-destination tables recompute only what head flits ask for, so they
-  // must route bit for bit the same under a schedule crossing several
-  // fault epochs.
-  const holms::noc::Mesh2D mesh(8, 8);
-  std::vector<FaultEvent> trace;
-  for (std::size_t i = 0; i < mesh.num_undirected_links(); i += 20) {
-    trace.push_back({2000.0, FaultKind::kFail, Target::kLink, i});
-    trace.push_back({5000.0, FaultKind::kRepair, Target::kLink, i});
+  // The 8x8 stats come from the eager router, which rebuilt the admit table
+  // of every destination on each fault/repair event; the 7x5 stats from the
+  // router that derived every move's legality from mesh coordinates.  The
+  // lazy per-destination tables over precomputed turn and live masks must
+  // route bit for bit the same under a schedule crossing several fault
+  // epochs.  7x5 has an odd width, so its last column (x = 6) is even and
+  // bans EN/ES turns, unlike 8x8's; its router 27 sits on the east edge.
+  struct Case {
+    std::size_t width, height, link_step;
+    PinnedNocStats pinned;
+  };
+  const Case cases[] = {
+      {8, 8, 20,
+       {10316, 9884, 213528, 0x1.a9ca559337d7ap+6, 0x1.938a3d70a3d7p+10,
+        0x1.08116872b020fp-1, 0x1.ab0e560418937p+4, 0x1.6490f8b7a5d3dp-16,
+        0x1.6646fad6cf9c4p+4, 299, 0x1.ea8f233d0c02cp-1, 205, 13}},
+      {7, 5, 10,
+       {5605, 5252, 85103, 0x1.ff93984630bf2p+6, 0x1.c8deb851eb85p+10,
+        0x1.20adab9f559cep-1, 0x1.546978d4fdf3bp+3, 0x1.28387700298dep-17,
+        0x1.180f6fde94b52p+4, 242, 0x1.dfc1273bc95fep-1, 118, 13}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.width) + "x" + std::to_string(c.height));
+    const holms::noc::Mesh2D mesh(c.width, c.height);
+    std::vector<FaultEvent> trace;
+    for (std::size_t i = 0; i < mesh.num_undirected_links();
+         i += c.link_step) {
+      trace.push_back({2000.0, FaultKind::kFail, Target::kLink, i});
+      trace.push_back({5000.0, FaultKind::kRepair, Target::kLink, i});
+    }
+    trace.push_back({3000.0, FaultKind::kFail, Target::kNode, 27});
+    const auto sched = FaultSchedule::from_trace(trace);
+    const auto s = run_ft_replay(mesh, sched);
+    EXPECT_GT(s.faults_applied, 0u);
+    expect_pinned(s, c.pinned);
   }
-  trace.push_back({3000.0, FaultKind::kFail, Target::kNode, 27});
-  const auto sched = FaultSchedule::from_trace(trace);
-  const auto s = run_ft_replay(mesh, sched);
-  EXPECT_GT(s.faults_applied, 0u);
-  expect_pinned(s, {10316, 9884, 213528, 0x1.a9ca559337d7ap+6,
-                    0x1.938a3d70a3d7p+10, 0x1.08116872b020fp-1,
-                    0x1.ab0e560418937p+4, 0x1.6490f8b7a5d3dp-16,
-                    0x1.6646fad6cf9c4p+4, 299, 0x1.ea8f233d0c02cp-1, 205,
-                    13});
 }
 
 TEST(NocFault, FaultTolerantSustainsDeliveryWhereXyBlackholes) {

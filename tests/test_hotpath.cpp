@@ -116,23 +116,61 @@ TEST(SwapEvaluator, TracksFullCostRandomGraphRectangularMesh) {
 }
 
 TEST(XyRouteTable, MatchesMeshRoutes) {
-  for (const auto& dims : {std::pair<std::size_t, std::size_t>{4, 4},
-                           std::pair<std::size_t, std::size_t>{5, 3}}) {
-    const noc::Mesh2D mesh(dims.first, dims.second);
+  // 1x6 and 6x1 leave one leg empty on every route and 6x1 has width-1
+  // columns; 2x2 is the smallest mesh with both legs and both stride signs;
+  // 32x32 is the largest mesh the explorers map onto.
+  const std::pair<std::size_t, std::size_t> kMeshes[] = {
+      {4, 4}, {5, 3}, {1, 6}, {6, 1}, {2, 2}, {32, 32}};
+  std::vector<std::uint32_t> expected, from_table, from_mesh;
+  for (const auto& [w, h] : kMeshes) {
+    const noc::Mesh2D mesh(w, h);
     const noc::XyRouteTable table(mesh);
+    ASSERT_EQ(table.tiles(), mesh.num_tiles());
     for (noc::TileId s = 0; s < mesh.num_tiles(); ++s) {
       for (noc::TileId d = 0; d < mesh.num_tiles(); ++d) {
         ASSERT_EQ(table.hops(s, d), mesh.hops(s, d));
+        ASSERT_EQ(table.links(s, d).hops(), mesh.hops(s, d));
+        // Reference: walk the route hop by hop with xy_next.
         const auto route = mesh.xy_route(s, d);
-        const auto links = table.links(s, d);
-        ASSERT_EQ(links.size(), route.size() - 1);
+        expected.clear();
         for (std::size_t i = 0; i + 1 < route.size(); ++i) {
           const noc::Dir dir = mesh.xy_next(route[i], d);
-          ASSERT_EQ(links[i], mesh.link_index(route[i], dir));
+          expected.push_back(
+              static_cast<std::uint32_t>(mesh.link_index(route[i], dir)));
         }
+        from_table.clear();
+        table.links(s, d).for_each_link(
+            [&](std::uint32_t l) { from_table.push_back(l); });
+        from_mesh.clear();
+        mesh.xy_links(s, d).for_each_link(
+            [&](std::uint32_t l) { from_mesh.push_back(l); });
+        ASSERT_EQ(from_table, expected)
+            << w << "x" << h << " " << s << "->" << d;
+        ASSERT_EQ(from_mesh, expected)
+            << w << "x" << h << " " << s << "->" << d;
       }
     }
   }
+}
+
+TEST(XyRouteTable, SuppliedTableMatchesOwnAndIsCheckedAgainstMesh) {
+  // SaOptions::routes hands the evaluator a caller-built table: the run must
+  // equal one whose evaluator builds its own, and a table built for another
+  // tile count must be rejected.
+  sim::Rng grng(33);
+  const noc::AppGraph g = noc::random_graph(20, grng, 1e6);
+  const noc::Mesh2D mesh(5, 5);
+  const noc::EnergyModel em;
+  noc::SaOptions opts;
+  opts.iterations = 3000;
+  sim::Rng r1(7), r2(7), r3(7);
+  const noc::Mapping own = noc::sa_mapping(g, mesh, em, r1, opts);
+  const noc::XyRouteTable table(mesh);
+  opts.routes = &table;
+  EXPECT_EQ(noc::sa_mapping(g, mesh, em, r2, opts), own);
+  const noc::XyRouteTable other(noc::Mesh2D(4, 4));
+  opts.routes = &other;
+  EXPECT_THROW(noc::sa_mapping(g, mesh, em, r3, opts), holms::InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
