@@ -1,7 +1,8 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <cassert>
+#include <cmath>
 
 #include "noc/taskgraph.hpp"
 
@@ -25,24 +26,56 @@ Dir entry_port(Dir out) {
   return Dir::kLocal;
 }
 
+// tiles * kNumPorts * VCs * buffer_depth, the flat VC ring array's length;
+// rejects a product above `limit` instead of letting it wrap around.
+std::size_t ring_slots(std::size_t tiles, const NocSim::Config& cfg,
+                       std::size_t limit) {
+  std::size_t n = tiles;
+  for (const std::size_t f :
+       {kNumPorts, cfg.virtual_channels, cfg.buffer_depth}) {
+    if (n != 0 && f > limit / n) {
+      throw holms::InvalidArgument(
+          "NocSim: tiles x ports x VCs x buffer_depth flits is too large");
+    }
+    n *= f;
+  }
+  return n;
+}
+
 }  // namespace
 
-NocSim::NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng)
-    : mesh_(mesh), cfg_(cfg), rng_(rng), routers_(mesh.num_tiles()),
-      source_(mesh.num_tiles()) {
-  if (cfg_.buffer_depth == 0 || cfg_.virtual_channels == 0) {
+void NocSim::Config::validate() const {
+  if (buffer_depth == 0 || virtual_channels == 0) {
     throw holms::InvalidArgument("NocSim: need buffer_depth, VCs >= 1");
   }
-  const std::size_t v = cfg_.virtual_channels;
-  for (auto& r : routers_) {
-    r.in.resize(kNumPorts);
-    for (auto& p : r.in) p.vc.resize(v);
-    r.vc_owner.assign(kNumPorts * v, -1);
+  if (!(std::isfinite(flit_bits) && flit_bits > 0.0)) {
+    throw holms::InvalidArgument("NocSim: flit_bits must be finite and > 0");
   }
-  if (cfg_.routing == RoutingAlgo::kFaultTolerant) {
-    ft_tables_.resize(mesh_.num_tiles());
+  for (const double e :
+       {energy.e_router_pj, energy.e_link_pj, energy.e_buffer_pj}) {
+    if (!(std::isfinite(e) && e >= 0.0)) {
+      throw holms::InvalidArgument(
+          "NocSim: energy coefficients must be finite and >= 0");
+    }
   }
+  if (head_stall_drop_cycles == 0) {
+    throw holms::InvalidArgument(
+        "NocSim: head_stall_drop_cycles must be >= 1");
+  }
+}
+
+NocSim::NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng)
+    : mesh_(mesh), cfg_(cfg), rng_(rng) {
+  cfg_.validate();
   const std::size_t T = mesh_.num_tiles();
+  ring_.resize(ring_slots(T, cfg_, ring_.max_size()));
+  routers_.resize(T);
+  vcs_.resize(T * kNumPorts * cfg_.virtual_channels);
+  vc_owner_.assign(vcs_.size(), -1);
+  source_.resize(T);
+  if (cfg_.routing == RoutingAlgo::kFaultTolerant) {
+    ft_tables_.resize(T);
+  }
   nbr_.assign(T * kNumPorts, kNoTile);
   turn_moves_.assign(T * kNumPorts, 0);
   live_moves_.assign(T, 0);
@@ -127,15 +160,12 @@ void NocSim::set_link_up(TileId t, Dir d, bool up) {
     // Drop worms currently allocated across either directed channel: their
     // flits straddle (or are about to straddle) a link that no longer exists.
     std::unordered_set<std::uint64_t> doomed;
-    const std::size_t vcs = cfg_.virtual_channels;
     auto collect = [&](TileId router, Dir out) {
-      for (auto& port : routers_[router].in) {
-        for (std::size_t vi = 0; vi < vcs; ++vi) {
-          const VirtualChannel& vc = port.vc[vi];
-          if (vc.out_port == static_cast<int>(port_of(out)) &&
-              vc.cur_packet != 0) {
-            doomed.insert(vc.cur_packet);
-          }
+      for (std::size_t k = vc_index(router, 0, 0);
+           k < vc_index(router + 1, 0, 0); ++k) {
+        if (vcs_[k].out_port == static_cast<int>(port_of(out)) &&
+            vcs_[k].cur_packet != 0) {
+          doomed.insert(vcs_[k].cur_packet);
         }
       }
     };
@@ -160,28 +190,25 @@ void NocSim::set_router_up(TileId t, bool up) {
   }
   if (was_up && !up) {
     std::unordered_set<std::uint64_t> doomed;
-    const std::size_t vcs = cfg_.virtual_channels;
+    const std::size_t depth = cfg_.buffer_depth;
     // Everything buffered in or allocated out of the dead router dies.
-    for (auto& port : routers_[t].in) {
-      for (std::size_t vi = 0; vi < vcs; ++vi) {
-        const VirtualChannel& vc = port.vc[vi];
-        if (vc.cur_packet != 0) doomed.insert(vc.cur_packet);
-        for (const Flit& fl : vc.buffer) doomed.insert(fl.packet);
+    for (std::size_t k = vc_index(t, 0, 0); k < vc_index(t + 1, 0, 0); ++k) {
+      const VirtualChannel& vc = vcs_[k];
+      if (vc.cur_packet != 0) doomed.insert(vc.cur_packet);
+      for (std::size_t i = 0; i < vc.count; ++i) {
+        doomed.insert(ring_[k * depth + (vc.head + i) % depth].packet);
       }
     }
     // Plus worms allocated *into* it from the neighbors.
     for (std::size_t op = 1; op < kNumPorts; ++op) {
-      const Dir toward_t = static_cast<Dir>(op);
-      if (!mesh_.has_neighbor(t, toward_t)) continue;
-      const TileId nb = mesh_.neighbor(t, toward_t);
-      const Dir nb_out = entry_port(toward_t);  // nb's port facing t
-      for (auto& port : routers_[nb].in) {
-        for (std::size_t vi = 0; vi < vcs; ++vi) {
-          const VirtualChannel& vc = port.vc[vi];
-          if (vc.out_port == static_cast<int>(port_of(nb_out)) &&
-              vc.cur_packet != 0) {
-            doomed.insert(vc.cur_packet);
-          }
+      const std::uint32_t nb = nbr_[t * kNumPorts + op];
+      if (nb == kNoTile) continue;
+      const auto nb_out =  // nb's port facing t
+          static_cast<int>(port_of(entry_port(static_cast<Dir>(op))));
+      for (std::size_t k = vc_index(nb, 0, 0); k < vc_index(nb + 1, 0, 0);
+           ++k) {
+        if (vcs_[k].out_port == nb_out && vcs_[k].cur_packet != 0) {
+          doomed.insert(vcs_[k].cur_packet);
         }
       }
     }
@@ -212,30 +239,36 @@ void NocSim::apply_fault_event(const fault::FaultEvent& e) {
 
 void NocSim::purge_packets(const std::unordered_set<std::uint64_t>& pids) {
   if (pids.empty()) return;
-  const std::size_t vcs = cfg_.virtual_channels;
-  for (Router& r : routers_) {
-    for (std::size_t ip = 0; ip < kNumPorts; ++ip) {
-      for (std::size_t vi = 0; vi < vcs; ++vi) {
-        VirtualChannel& vc = r.in[ip].vc[vi];
-        if (vc.cur_packet != 0 && pids.count(vc.cur_packet)) {
-          if (vc.out_port >= 0) {
-            r.vc_owner[static_cast<std::size_t>(vc.out_port) * vcs +
-                       static_cast<std::size_t>(vc.out_vc)] = -1;
-          }
-          vc.out_port = -1;
-          vc.out_vc = -1;
-          vc.cur_packet = 0;
-          vc.head_stall = 0;
+  const std::size_t depth = cfg_.buffer_depth;
+  for (TileId t = 0; t < mesh_.num_tiles(); ++t) {
+    for (std::size_t k = vc_index(t, 0, 0); k < vc_index(t + 1, 0, 0); ++k) {
+      VirtualChannel& vc = vcs_[k];
+      if (vc.cur_packet != 0 && pids.count(vc.cur_packet)) {
+        if (vc.out_port >= 0) {
+          vc_owner_[vc_index(t, static_cast<std::size_t>(vc.out_port),
+                             static_cast<std::size_t>(vc.out_vc))] = -1;
         }
-        auto& buf = vc.buffer;
-        const std::size_t before = buf.size();
-        buf.erase(std::remove_if(buf.begin(), buf.end(),
-                                 [&](const Flit& fl) {
-                                   return pids.count(fl.packet) != 0;
-                                 }),
-                  buf.end());
+        vc.out_port = -1;
+        vc.out_vc = -1;
+        vc.cur_packet = 0;
+        vc.head_stall = 0;
+      }
+      // Compact the ring in place, in flit order: each survivor moves to the
+      // next kept slot after the head, which never passes its own slot.
+      const std::size_t base = k * depth;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < vc.count; ++i) {
+        const Flit fl = ring_[base + (vc.head + i) % depth];
+        if (pids.count(fl.packet)) continue;
+        ring_[base + (vc.head + kept) % depth] = fl;
+        ++kept;
+      }
+      if (kept != vc.count) {
+        routers_[t].buffered -= vc.count - kept;
+        buffered_total_ -= vc.count - kept;
+        vc.count = kept;
         // The front flit changed: the stall count belonged to the old head.
-        if (buf.size() != before) vc.head_stall = 0;
+        vc.head_stall = 0;
       }
     }
   }
@@ -355,17 +388,19 @@ void NocSim::inject_phase() {
   // VC; a new packet only claims an idle, empty VC (atomic VC allocation).
   const std::size_t v = cfg_.virtual_channels;
   for (TileId t = 0; t < mesh_.num_tiles(); ++t) {
-    if (!router_up(t)) continue;  // dead NI streams nothing
     SourceState& src = source_[t];
-    auto& port = routers_[t].in[port_of(Dir::kLocal)];
+    if (src.queue.empty()) continue;
+    if (!router_up(t)) continue;  // dead NI streams nothing
+    const std::size_t local = vc_index(t, port_of(Dir::kLocal), 0);
     for (;;) {
       if (src.queue.empty()) break;
       if (src.remaining == 0) {
         // Find an idle empty VC for the next packet.
         std::size_t chosen = v;
         for (std::size_t i = 0; i < v; ++i) {
-          const auto& cand = port.vc[(src.inject_vc + 1 + i) % v];
-          if (cand.buffer.empty() && cand.out_port < 0) {
+          const VirtualChannel& cand =
+              vcs_[local + (src.inject_vc + 1 + i) % v];
+          if (cand.count == 0 && cand.out_port < 0) {
             chosen = (src.inject_vc + 1 + i) % v;
             break;
           }
@@ -380,9 +415,9 @@ void NocSim::inject_phase() {
           ++src.remaining;
         }
       }
-      auto& vc = port.vc[src.inject_vc];
-      if (vc.buffer.size() >= cfg_.buffer_depth) break;
-      vc.buffer.push_back(src.queue.front());
+      const std::size_t k = local + src.inject_vc;
+      if (vcs_[k].count >= cfg_.buffer_depth) break;
+      push_flit(t, k, src.queue.front());
       src.queue.pop_front();
       --src.remaining;
       energy_pj_ += cfg_.energy.e_buffer_pj * cfg_.flit_bits;
@@ -390,73 +425,88 @@ void NocSim::inject_phase() {
   }
 }
 
-bool NocSim::route_admits(TileId here, TileId dst, Dir out,
-                          Dir in_port) const {
-  if (cfg_.routing == RoutingAlgo::kXY) {
-    return mesh_.xy_next(here, dst) == out;
-  }
+unsigned NocSim::admitted_ports(TileId here, TileId dst, Dir in_port) const {
+  constexpr auto bit = [](Dir d) { return 1u << port_of(d); };
+  if (cfg_.routing == RoutingAlgo::kXY) return bit(mesh_.xy_next(here, dst));
   if (cfg_.routing == RoutingAlgo::kFaultTolerant) {
-    const std::uint8_t mask =
-        ft_table_for(dst)[here * kNumPorts + port_of(in_port)];
-    return (mask >> port_of(out)) & 1u;
+    return ft_table_for(dst)[here * kNumPorts + port_of(in_port)];
   }
   // West-first turn model: any westward progress must happen before other
   // turns, so while dst is to the west only kWest is admissible; afterwards
   // every productive direction is.
-  if (here == dst) return out == Dir::kLocal;
+  if (here == dst) return bit(Dir::kLocal);
   const std::size_t hx = mesh_.x_of(here), dx = mesh_.x_of(dst);
   const std::size_t hy = mesh_.y_of(here), dy = mesh_.y_of(dst);
-  if (dx < hx) return out == Dir::kWest;
-  switch (out) {
-    case Dir::kEast: return dx > hx;
-    case Dir::kNorth: return dy < hy;
-    case Dir::kSouth: return dy > hy;
-    case Dir::kLocal: return dx == hx && dy == hy;
-    case Dir::kWest: return false;
-  }
-  return false;
+  if (dx < hx) return bit(Dir::kWest);
+  return (dx > hx ? bit(Dir::kEast) : 0u) | (dy < hy ? bit(Dir::kNorth) : 0u) |
+         (dy > hy ? bit(Dir::kSouth) : 0u);
 }
 
 bool NocSim::downstream_vc_has_space(TileId router, Dir out, int vc) const {
   if (out == Dir::kLocal) return true;  // ejection is never blocked
-  const TileId nb = mesh_.neighbor(router, out);
-  const auto& port = routers_[nb].in[port_of(entry_port(out))];
-  return port.vc[static_cast<std::size_t>(vc)].buffer.size() <
-         cfg_.buffer_depth;
+  const std::uint32_t nb = nbr_[router * kNumPorts + port_of(out)];
+  return vcs_[vc_index(nb, port_of(entry_port(out)),
+                       static_cast<std::size_t>(vc))]
+             .count < cfg_.buffer_depth;
 }
 
 int NocSim::free_downstream_vc(TileId router, Dir out) const {
   const std::size_t v = cfg_.virtual_channels;
-  const Router& r = routers_[router];
   for (std::size_t i = 0; i < v; ++i) {
-    if (r.vc_owner[port_of(out) * v + i] < 0) return static_cast<int>(i);
+    if (vc_owner_[vc_index(router, port_of(out), i)] < 0) {
+      return static_cast<int>(i);
+    }
   }
   return -1;
+}
+
+void NocSim::push_flit(TileId t, std::size_t k, const Flit& fl) {
+  VirtualChannel& vc = vcs_[k];
+  assert(vc.count < cfg_.buffer_depth && "VC ring overflow");
+  std::size_t slot = vc.head + vc.count;
+  if (slot >= cfg_.buffer_depth) slot -= cfg_.buffer_depth;
+  ring_[k * cfg_.buffer_depth + slot] = fl;
+  ++vc.count;
+  ++routers_[t].buffered;
+  ++buffered_total_;
+}
+
+Flit NocSim::pop_flit(TileId t, std::size_t k) {
+  VirtualChannel& vc = vcs_[k];
+  assert(vc.count > 0 && "pop from an empty VC ring");
+  const Flit fl = ring_[k * cfg_.buffer_depth + vc.head];
+  if (++vc.head == cfg_.buffer_depth) vc.head = 0;
+  --vc.count;
+  --routers_[t].buffered;
+  --buffered_total_;
+  return fl;
 }
 
 void NocSim::allocate_phase() {
   const std::size_t v = cfg_.virtual_channels;
   std::unordered_set<std::uint64_t> stall_drops;
   for (TileId t = 0; t < mesh_.num_tiles(); ++t) {
-    Router& r = routers_[t];
+    if (routers_[t].buffered == 0) continue;  // no head flit to route
     for (std::size_t ip = 0; ip < kNumPorts; ++ip) {
       for (std::size_t vi = 0; vi < v; ++vi) {
-        VirtualChannel& vc = r.in[ip].vc[vi];
-        if (vc.out_port >= 0 || vc.buffer.empty()) continue;
-        const Flit& head = vc.buffer.front();
+        const std::size_t k = vc_index(t, ip, vi);
+        VirtualChannel& vc = vcs_[k];
+        if (vc.out_port >= 0 || vc.count == 0) continue;
+        const Flit& head = ring_[k * cfg_.buffer_depth + vc.head];
         if (head.type != FlitType::kHead &&
             head.type != FlitType::kHeadTail) {
           continue;  // mid-worm flits wait for their head's allocation
         }
-        // Candidate outputs under the routing function; adaptive algorithms
-        // prefer one with a free downstream VC that currently has space.
+        // Candidate outputs under the routing function, never onto a dead
+        // link or into a dead router; adaptive algorithms prefer one with a
+        // free downstream VC that currently has space.
+        const unsigned candidates =
+            admitted_ports(t, head.dst, static_cast<Dir>(ip)) &
+            (live_moves_[t] | 1u << port_of(Dir::kLocal));
         int best_op = -1, best_vc = -1;
         for (std::size_t op = 0; op < kNumPorts; ++op) {
+          if (!((candidates >> op) & 1u)) continue;
           const Dir out = static_cast<Dir>(op);
-          if (!route_admits(t, head.dst, out, static_cast<Dir>(ip))) continue;
-          if (out != Dir::kLocal && !((live_moves_[t] >> op) & 1u)) {
-            continue;  // never allocate onto a dead link or into a dead router
-          }
           const int vout = free_downstream_vc(t, out);
           if (vout < 0) continue;
           if (best_op < 0) {
@@ -480,8 +530,8 @@ void NocSim::allocate_phase() {
         vc.out_vc = best_vc;
         vc.cur_packet = head.packet;
         vc.head_stall = 0;
-        r.vc_owner[static_cast<std::size_t>(best_op) * v +
-                   static_cast<std::size_t>(best_vc)] =
+        vc_owner_[vc_index(t, static_cast<std::size_t>(best_op),
+                           static_cast<std::size_t>(best_vc))] =
             static_cast<int>(ip * v + vi);
       }
     }
@@ -493,42 +543,42 @@ void NocSim::switch_phase() {
   // Two-phase update: decide all moves against the pre-cycle state, then
   // apply, so a flit advances at most one hop per cycle and each output
   // port carries at most one flit per cycle.
-  struct Move {
-    TileId router;
-    std::size_t ip;
-    std::size_t vi;
-  };
-  std::vector<Move> moves;
-  moves.reserve(mesh_.num_tiles() * 2);
+  moves_.clear();
   const std::size_t v = cfg_.virtual_channels;
+  const std::size_t slots = kNumPorts * v;
 
   for (TileId t = 0; t < mesh_.num_tiles(); ++t) {
     Router& r = routers_[t];
-    for (std::size_t op = 0; op < kNumPorts; ++op) {
-      // Round-robin over (input port, vc) candidates targeting this output.
-      const std::size_t slots = kNumPorts * v;
-      for (std::size_t k = 0; k < slots; ++k) {
-        const std::size_t idx = (r.rr[op] + k) % slots;
-        const std::size_t ip = idx / v, vi = idx % v;
-        const VirtualChannel& vc = r.in[ip].vc[vi];
-        if (vc.out_port != static_cast<int>(op) || vc.buffer.empty()) {
-          continue;
-        }
-        if (!downstream_vc_has_space(t, static_cast<Dir>(op), vc.out_vc)) {
-          continue;
-        }
-        moves.push_back(Move{t, ip, vi});
-        r.rr[op] = (idx + 1) % slots;
-        break;  // one flit per output port per cycle
+    if (r.buffered == 0) continue;  // no flit to move
+    // Round-robin over the (input port, vc) slots targeting each output: the
+    // grant goes to the first ready slot at or after rr[op], else (wrapping
+    // around) to the first ready slot.  One pass over the router's VCs finds
+    // both for every output port.
+    std::size_t after[kNumPorts], first[kNumPorts];
+    std::fill(after, after + kNumPorts, slots);
+    std::fill(first, first + kNumPorts, slots);
+    const std::size_t base = vc_index(t, 0, 0);
+    for (std::size_t idx = 0; idx < slots; ++idx) {
+      const VirtualChannel& vc = vcs_[base + idx];
+      if (vc.out_port < 0 || vc.count == 0) continue;
+      const auto op = static_cast<std::size_t>(vc.out_port);
+      if (!downstream_vc_has_space(t, static_cast<Dir>(op), vc.out_vc)) {
+        continue;
       }
+      if (first[op] == slots) first[op] = idx;
+      if (after[op] == slots && idx >= r.rr[op]) after[op] = idx;
+    }
+    for (std::size_t op = 0; op < kNumPorts; ++op) {
+      const std::size_t idx = after[op] < slots ? after[op] : first[op];
+      if (idx == slots) continue;  // no ready slot for this output
+      moves_.push_back(Move{t, base + idx});  // one flit per output per cycle
+      r.rr[op] = idx + 1 == slots ? 0 : idx + 1;
     }
   }
 
-  for (const Move& mv : moves) {
-    Router& r = routers_[mv.router];
-    VirtualChannel& vc = r.in[mv.ip].vc[mv.vi];
-    const Flit fl = vc.buffer.front();
-    vc.buffer.pop_front();
+  for (const Move& mv : moves_) {
+    VirtualChannel& vc = vcs_[mv.vc];
+    const Flit fl = pop_flit(mv.router, mv.vc);
     const auto op = static_cast<std::size_t>(vc.out_port);
     const Dir out = static_cast<Dir>(op);
     const int vout = vc.out_vc;
@@ -546,20 +596,19 @@ void NocSim::switch_phase() {
     } else {
       energy_pj_ += cfg_.energy.e_link_pj * cfg_.flit_bits;
       ++flit_hops_;
-      const TileId nb = mesh_.neighbor(mv.router, out);
+      const TileId nb = nbr_[mv.router * kNumPorts + op];
       if (cfg_.routing == RoutingAlgo::kFaultTolerant &&
           (fl.type == FlitType::kHead || fl.type == FlitType::kHeadTail) &&
           mesh_.hops(nb, fl.dst) >= mesh_.hops(mv.router, fl.dst)) {
         ++reroute_hops_;  // detour: this hop did not close the distance
       }
-      routers_[nb]
-          .in[port_of(entry_port(out))]
-          .vc[static_cast<std::size_t>(vout)]
-          .buffer.push_back(fl);
+      push_flit(nb,
+                vc_index(nb, port_of(entry_port(out)),
+                         static_cast<std::size_t>(vout)),
+                fl);
     }
     if (ends) {
-      r.vc_owner[op * cfg_.virtual_channels +
-                 static_cast<std::size_t>(vout)] = -1;
+      vc_owner_[vc_index(mv.router, op, static_cast<std::size_t>(vout))] = -1;
       vc.out_port = -1;
       vc.out_vc = -1;
       vc.cur_packet = 0;
@@ -579,13 +628,7 @@ void NocSim::run(std::uint64_t cycles) {
     allocate_phase();
     switch_phase();
     // Sample buffer occupancy once per cycle.
-    std::uint64_t total = 0;
-    for (const auto& r : routers_) {
-      for (const auto& p : r.in) {
-        for (const auto& vc : p.vc) total += vc.buffer.size();
-      }
-    }
-    occupancy_accum_ += static_cast<double>(total) /
+    occupancy_accum_ += static_cast<double>(buffered_total_) /
                         static_cast<double>(routers_.size() * kNumPorts);
     ++occupancy_samples_;
     ++cycle_;

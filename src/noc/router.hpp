@@ -99,6 +99,11 @@ class NocSim {
     /// whole packet dropped and counted, so a blackhole never wedges the
     /// cycle loop or starves the VCs behind it.
     std::uint32_t head_stall_drop_cycles = 1024;
+
+    /// Contract rule C001; checked on NocSim construction, which also
+    /// rejects a VC ring array (tiles x 5 ports x VCs x buffer_depth flits)
+    /// too large to address.
+    void validate() const;
   };
 
   NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng);
@@ -134,23 +139,27 @@ class NocSim {
   }
 
  private:
+  // One input virtual channel.  Its flits sit in a fixed ring of
+  // cfg_.buffer_depth slots in ring_ (VC k owns ring_[k * buffer_depth ..]):
+  // `head` is the front flit's slot, `count` the flits buffered.  count never
+  // exceeds buffer_depth: injection checks the depth, and a switch move lands
+  // in a downstream VC that one worm owns, after a space check against the
+  // pre-move counts, with at most one flit per output port per cycle.
   struct VirtualChannel {
-    std::deque<Flit> buffer;
+    std::size_t head = 0;
+    std::size_t count = 0;
     int out_port = -1;  // output port the resident worm holds (-1 free)
     int out_vc = -1;    // downstream VC the worm was allocated
     std::uint64_t cur_packet = 0;  // packet id of the allocated worm (0 none)
     std::uint32_t head_stall = 0;  // consecutive failed head allocations
   };
 
-  struct InputPort {
-    std::vector<VirtualChannel> vc;
-  };
-
   struct Router {
-    std::vector<InputPort> in;  // kNumPorts entries
-    // owner[op * V + v]: which (input port, input vc) owns downstream VC v
-    // of output port op; -1 = free.  Encoded as ip * V + vc_in.
-    std::vector<int> vc_owner;
+    // Flits buffered across the router's input VCs.  The allocate and
+    // switch phases skip a router while it is 0 (no head to route, no flit
+    // to move, so no round-robin pointer or stall count can change), which
+    // makes a cycle cost follow the routers holding flits, not the mesh.
+    std::size_t buffered = 0;
     // Round-robin pointer per output port for switch arbitration.
     std::size_t rr[kNumPorts] = {0, 0, 0, 0, 0};
   };
@@ -161,10 +170,29 @@ class NocSim {
     std::size_t remaining = 0;    // flits of the current packet still to go
   };
 
+  // A switch grant: the front flit of input VC `vc` (a vcs_ index) of
+  // `router` advances this cycle.
+  struct Move {
+    TileId router;
+    std::size_t vc;
+  };
+
+  // Index of tile t's input VC `vc` on `port` into vcs_; the same shape
+  // indexes vc_owner_ by output port.
+  std::size_t vc_index(TileId t, std::size_t port, std::size_t vc) const {
+    return (t * kNumPorts + port) * cfg_.virtual_channels + vc;
+  }
+  /// Appends `fl` to VC k of router t, which must have space.
+  void push_flit(TileId t, std::size_t k, const Flit& fl);
+  /// Removes and returns the front flit of VC k of router t.
+  Flit pop_flit(TileId t, std::size_t k);
+
   void inject_phase();
   void allocate_phase();
   void switch_phase();
-  bool route_admits(TileId here, TileId dst, Dir out, Dir in_port) const;
+  /// Output ports (bit per Dir) the routing function admits for a head flit
+  /// at `here` bound for `dst` that entered via `in_port`.
+  unsigned admitted_ports(TileId here, TileId dst, Dir in_port) const;
   /// Free downstream VC index at neighbor entry port, or -1.
   int free_downstream_vc(TileId router, Dir out) const;
   bool downstream_vc_has_space(TileId router, Dir out, int vc) const;
@@ -191,6 +219,13 @@ class NocSim {
   Config cfg_;
   sim::Rng rng_;
   std::vector<Router> routers_;
+  std::vector<VirtualChannel> vcs_;  // vcs_[vc_index(t, port, vc)]
+  std::vector<Flit> ring_;           // every VC's ring, one flat array
+  // vc_owner_[vc_index(t, op, v)]: which of t's input VCs (encoded ip * V +
+  // vc_in) owns downstream VC v of output port op; -1 = free.
+  std::vector<int> vc_owner_;
+  std::size_t buffered_total_ = 0;  // sum of every Router::buffered
+  std::vector<Move> moves_;         // switch_phase scratch, reused per cycle
   std::vector<Flow> flows_;
   std::vector<SourceState> source_;
   std::uint64_t cycle_ = 0;
@@ -221,7 +256,8 @@ class NocSim {
     std::vector<std::uint8_t> admit;
   };
   std::uint64_t ft_epoch_ = 1;
-  // route_admits() is const and hot, so the lazily filled tables are mutable.
+  // admitted_ports() is const and hot, so the lazily filled tables are
+  // mutable.
   mutable std::vector<FtTable> ft_tables_;  // indexed by destination tile
   // BFS scratch reused across compute_ft_admit calls.
   mutable std::vector<std::uint32_t> ft_dist_;

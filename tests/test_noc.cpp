@@ -2,11 +2,13 @@
 // scheduling (holms::noc) — paper §3.2/§3.3.
 #include <gtest/gtest.h>
 
+#include "fault/schedule.hpp"
 #include "noc/mapping.hpp"
 #include "noc/router.hpp"
 #include "noc/scheduling.hpp"
 #include "noc/taskgraph.hpp"
 #include "noc/topology.hpp"
+#include "support/noc_pins.hpp"
 
 namespace {
 
@@ -358,6 +360,63 @@ TEST(Router, RejectsInvalidFlows) {
   f.packet_flits = 2;
   f.packets_per_cycle = 2.0;
   EXPECT_THROW(sim.add_flow(f), std::invalid_argument);
+}
+
+TEST(Router, LoadedRunsMatchPinnedStats) {
+  // Runs whose VC buffers fill, wrap around and get purged, pinned bit for
+  // bit: under contention every round-robin grant, stall count and purge
+  // shows in the stats.  XY with one 2-flit VC floods the 6x6 hotspot far
+  // past its 1 flit/cycle ejection limit; west-first with two VCs sits at
+  // the uniform-traffic latency knee; kFaultTolerant fails the hotspot's
+  // north neighbour (tile 15) while its buffers are full, repairs it, then
+  // fails the west neighbour (tile 20) for good, so purges, stall drops and
+  // detours all happen in 3-flit rings.
+  using holms::fault::FaultEvent;
+  using holms::fault::FaultKind;
+  using holms::fault::Target;
+  struct Case {
+    const char* name;
+    RoutingAlgo routing;
+    std::size_t vcs, depth;
+    TrafficPattern pattern;
+    double rate;
+    std::vector<FaultEvent> faults;
+    holms::test_support::PinnedNocStats pinned;
+  };
+  const Case cases[] = {
+      {"xy_hotspot_saturated", RoutingAlgo::kXY, 1, 2,
+       TrafficPattern::kHotspot, 0.05, {},
+       {10548, 1498, 17982, 0x1.f3067e76424edp+6, 0x1.ad40a3d70a3d7p+11,
+        0x1.72ef3c9b0a891p-1, 0x1.7f9db22d0e56p+1, 0x1.083f2ac235cb7p-19,
+        0x1.b5cd16d50ca11p+3, 0, 0x1.22da0aadc5f23p-3, 0, 0}},
+      {"west_first_uniform_knee", RoutingAlgo::kWestFirst, 2, 4,
+       TrafficPattern::kUniformRandom, 0.1, {},
+       {21631, 21496, 345692, 0x1.a46c0a4a1f721p+4, 0x1.8c147ae147bp+7,
+        0x1.64f810de94647p+0, 0x1.ccec33e1f6715p+5, 0x1.2c805e632d1c9p-15,
+        0x1.15a59db605abcp+4, 0, 0x1.fccdf9594b481p-1, 0, 0}},
+      {"ft_router_fails_full", RoutingAlgo::kFaultTolerant, 2, 3,
+       TrafficPattern::kHotspot, 0.04,
+       {{1500.0, FaultKind::kFail, Target::kNode, 15},
+        {3000.0, FaultKind::kRepair, Target::kNode, 15},
+        {3500.0, FaultKind::kFail, Target::kNode, 20}},
+       {8478, 1498, 18166, 0x1.6e22c6ebd59e9p+9, 0x1.ffe55e6f8091ap+11,
+        0x1.05a0941014a2dp+1, 0x1.838a94d242e6cp+1, 0x1.10a326a4c54a1p-19,
+        0x1.c3b3d875fd8f6p+3, 595, 0x1.69ddd17f9b822p-3, 26, 3}},
+  };
+  const Mesh2D mesh(6, 6);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    NocSim::Config cfg;
+    cfg.routing = c.routing;
+    cfg.virtual_channels = c.vcs;
+    cfg.buffer_depth = c.depth;
+    NocSim sim(mesh, cfg, Rng(31));
+    add_pattern_flows(sim, mesh, c.pattern, c.rate, 4);
+    const auto sched = holms::fault::FaultSchedule::from_trace(c.faults);
+    if (!c.faults.empty()) sim.attach_fault_schedule(&sched);
+    sim.run(6000);
+    holms::test_support::expect_pinned(sim.stats(), c.pinned);
+  }
 }
 
 TEST(Mapping, BranchAndBoundIsExactOnSmallGraphs) {

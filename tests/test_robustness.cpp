@@ -3,6 +3,11 @@
 // hang, or silently return garbage — under degenerate configurations.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "asip/assembler.hpp"
 #include "asip/builder.hpp"
 #include "asip/iss.hpp"
@@ -250,6 +255,57 @@ TEST(Robust, NocZeroVirtualChannelsThrows) {
   holms::noc::NocSim::Config cfg;
   cfg.virtual_channels = 0;
   EXPECT_THROW(holms::noc::NocSim(mesh, cfg, Rng(3)), std::invalid_argument);
+}
+
+TEST(Robust, NocConfigRejectsNonFiniteAndOutOfRangeFields) {
+  using Config = holms::noc::NocSim::Config;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(Config&, double)>> fields{
+      {"flit_bits", [](Config& c, double x) { c.flit_bits = x; }},
+      {"e_router_pj", [](Config& c, double x) { c.energy.e_router_pj = x; }},
+      {"e_link_pj", [](Config& c, double x) { c.energy.e_link_pj = x; }},
+      {"e_buffer_pj", [](Config& c, double x) { c.energy.e_buffer_pj = x; }},
+  };
+  const holms::noc::Mesh2D mesh(2, 2);
+  for (const auto& [name, set] : fields) {
+    for (const double bad : {nan, inf, -inf, -1.0}) {
+      SCOPED_TRACE(std::string(name) + " = " + std::to_string(bad));
+      Config cfg;
+      set(cfg, bad);
+      EXPECT_THROW(cfg.validate(), holms::InvalidArgument);
+      EXPECT_THROW(holms::noc::NocSim(mesh, cfg, Rng(3)),
+                   holms::InvalidArgument);
+    }
+  }
+  // Zero energy is a legal (energy-blind) model; zero-bit flits are not.
+  Config zero_energy;
+  zero_energy.energy = {0.0, 0.0, 0.0};
+  EXPECT_NO_THROW(zero_energy.validate());
+  Config zero_bits;
+  zero_bits.flit_bits = 0.0;
+  EXPECT_THROW(zero_bits.validate(), holms::InvalidArgument);
+  // A zero stall budget would drop every head that waits a single cycle.
+  Config no_stall;
+  no_stall.head_stall_drop_cycles = 0;
+  EXPECT_THROW(no_stall.validate(), holms::InvalidArgument);
+  EXPECT_NO_THROW(Config{}.validate());
+}
+
+TEST(Robust, NocHugeVcRingArrayThrowsInsteadOfWrapping) {
+  // tiles x 5 ports x VCs x buffer_depth flits must not wrap size_t (a
+  // wrapped product would size a tiny ring array) nor reach the allocator.
+  const holms::noc::Mesh2D mesh(2, 2);
+  holms::noc::NocSim::Config deep;
+  deep.buffer_depth = std::size_t{1} << 62;
+  EXPECT_THROW(holms::noc::NocSim(mesh, deep, Rng(3)), holms::InvalidArgument);
+  holms::noc::NocSim::Config wide;
+  wide.virtual_channels = std::size_t{1} << 62;
+  EXPECT_THROW(holms::noc::NocSim(mesh, wide, Rng(3)), holms::InvalidArgument);
+  holms::noc::NocSim::Config both;
+  both.virtual_channels = std::size_t{1} << 31;
+  both.buffer_depth = std::size_t{1} << 31;
+  EXPECT_THROW(holms::noc::NocSim(mesh, both, Rng(3)), holms::InvalidArgument);
 }
 
 TEST(Robust, NocFaultScheduleIdOutOfRangeThrows) {
