@@ -30,6 +30,7 @@
 #include "noc/router.hpp"
 #include "noc/taskgraph.hpp"
 #include "sim/simulator.hpp"
+#include "support/chains.hpp"
 #include "support/sa_oracle.hpp"
 #include "traffic/selfsim.hpp"
 #include "wireless/link_sim.hpp"
@@ -323,27 +324,6 @@ double noc_ft_cycles_per_s() {
   return static_cast<double>(kCycles) / dt;
 }
 
-// Banded chain (band neighbors each side, forward drift): n=4096 with band 8
-// gives ~69k nonzeros — comfortably past the sharding floors.
-holms::markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
-  holms::markov::Dtmc d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = i > band ? i - band : 0;
-    const std::size_t hi = std::min(n - 1, i + band);
-    double off = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      if (j == i) continue;
-      const double side = j > i ? 0.3 : 0.2;
-      const std::size_t count = j > i ? hi - i : i - lo;
-      const double w = side / static_cast<double>(count);
-      d.set(i, j, w);
-      off += w;
-    }
-    d.set(i, i, 1.0 - off);
-  }
-  return d;
-}
-
 // Sharded sparse power iteration wall time at a fixed sweep count (the
 // tolerance is unreachable, so every thread count does identical work —
 // the solves are bitwise identical by design, only the wall time moves).
@@ -525,8 +505,42 @@ void simd_kernel_metrics(holms::bench::BenchReport& report) {
       best.name, spmv_speedup, delta_speedup);
 }
 
+// Sweeps per second of design_farm32's solves: perfbench's n = 1296 tandem
+// (six 256-column shards) on 4 threads at tolerance 1e-10, power iteration
+// and hybrid Gauss–Seidel.  A sweep there costs a few microseconds, so this
+// tracks the per-sweep hand-off of the shard team as much as the kernels.
+// Best of 3, the two methods interleaved.
+void tandem_sweep_metrics(holms::bench::BenchReport& report) {
+  const auto q = holms::test_support::tandem_chain(36, 1.0, 1.12, 1.17);
+  struct Method {
+    const char* key;
+    holms::markov::SteadyStateMethod method;
+    double best_rate = 0.0;
+  };
+  Method methods[] = {
+      {"markov_power_sweeps_per_s_n1296",
+       holms::markov::SteadyStateMethod::kPowerIteration},
+      {"markov_gs_sweeps_per_s_n1296",
+       holms::markov::SteadyStateMethod::kGaussSeidel}};
+  for (int rep = 0; rep < 4; ++rep) {  // rep 0 warms up
+    for (Method& m : methods) {
+      holms::markov::SolveOptions opts;
+      opts.method = m.method;
+      opts.tolerance = 1e-10;
+      opts.threads = 4;
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto r = q.steady_state(opts);
+      const double rate = static_cast<double>(r.iterations) / seconds_since(t0);
+      if (rep > 0) m.best_rate = std::max(m.best_rate, rate);
+    }
+  }
+  for (const Method& m : methods) report.set(m.key, m.best_rate);
+  std::printf("-- tandem n=1296 t4: power %.3g sweeps/s, GS %.3g sweeps/s\n",
+              methods[0].best_rate, methods[1].best_rate);
+}
+
 void threaded_solve_metrics(holms::bench::BenchReport& report) {
-  const auto d = banded_chain(4096, 8);
+  const auto d = holms::test_support::banded_chain(4096, 8);
   benchmark::DoNotOptimize(threaded_solve_seconds(d, 1));  // warmup
   const double t1 = threaded_solve_seconds(d, 1);
   const double t2 = threaded_solve_seconds(d, 2);
@@ -569,6 +583,7 @@ void headline_metrics(holms::bench::BenchReport& report) {
 
   simd_kernel_metrics(report);
   threaded_solve_metrics(report);
+  tandem_sweep_metrics(report);
   sa_move_mix_metrics(report);
 }
 

@@ -72,6 +72,24 @@ struct FgsSlotBatch {
   double* decoded_bps = nullptr;
 };
 
+/// Where one column's ascending sources cross its shard [lo, hi) and its
+/// diagonal, as offsets from the column's start in the transposed CSR:
+/// entries [0, lo) lie below the shard, [lo, diag) in the shard below the
+/// diagonal, [diag_end, hi) in the shard above it (diag_end = diag + 1 when
+/// the diagonal is stored, else diag), and [hi, len) above the shard.  A
+/// column holds at most n entries and the CSR's source indices are 32-bit,
+/// so 32-bit offsets suffice.
+struct GsBounds {
+  std::uint32_t lo = 0, diag = 0, diag_end = 0, hi = 0;
+};
+
+/// Fills bounds[c] for every column c in [lo, hi), the shard gs_cols will
+/// sweep: the answers depend only on the matrix and the shard, so a solve
+/// finds them once, not once per sweep.  Scalar and ISA-independent, hence
+/// not a table entry.
+void gs_bounds(const std::size_t* offsets, const std::uint32_t* srcs,
+               std::size_t lo, std::size_t hi, GsBounds* bounds);
+
 /// Kernel table for one ISA.  All reductions follow the canonical lane
 /// order above; all tables produce bitwise identical results.
 struct Kernels {
@@ -96,11 +114,14 @@ struct Kernels {
   /// sources read `pi`, the diagonal is skipped and solved as
   /// next[c] = diag[c] < 1 ? acc / (1 - diag[c]) : acc.  Each column's sum
   /// is four lane-reduced segments (below-shard / below-diagonal /
-  /// above-diagonal / above-shard) combined left to right; a full-range
-  /// shard [0, n) reproduces serial Gauss–Seidel exactly.
+  /// above-diagonal / above-shard) combined left to right, split where
+  /// bounds[c] says; `bounds` must come from gs_bounds over the same
+  /// [lo, hi).  A full-range shard [0, n) reproduces serial Gauss–Seidel
+  /// exactly.
   void (*gs_cols)(const std::size_t* offsets, const std::uint32_t* srcs,
-                  const double* vals, const double* diag, const double* pi,
-                  double* next, std::size_t lo, std::size_t hi);
+                  const double* vals, const GsBounds* bounds,
+                  const double* diag, const double* pi, double* next,
+                  std::size_t lo, std::size_t hi);
   /// SwapEvaluator O(deg) delta-energy: sum over touched edges of
   /// transfer_energy(vol, new_hops) - transfer_energy(vol, old_hops) with
   /// transfer_energy(b, h) = b * ((h+1) * e_router_pj + h * e_link_pj) *

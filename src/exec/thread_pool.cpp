@@ -2,9 +2,14 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string>
+#include <utility>
+
+#include "exec/error.hpp"
 
 namespace holms::exec {
 
@@ -120,6 +125,155 @@ void ThreadPool::parallel_for(std::size_t n,
     lk.unlock();
     std::rethrow_exception(err);
   }
+}
+
+namespace {
+
+// Polls a waiter makes before it parks, and how often one of them yields.
+// A pause is ~10-150 cycles, so the bound covers the few microseconds
+// between two sweeps of one solve (the caller's serial convergence check,
+// an uneven last shard) on any x86 or arm core, and an idle team parks
+// within about a millisecond.  The periodic yield hands the core to a
+// runnable member on an oversubscribed host (more members than cores, or
+// several processes) instead of spinning out the timeslice it waits for.
+constexpr std::size_t kSpinPolls = std::size_t{1} << 13;
+constexpr std::size_t kYieldEvery = 64;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// One spin-then-park wait point.  The waiter polls `ready` for kSpinPolls,
+// then announces itself in `parked` and sleeps on the condvar; a notifier
+// makes `ready` true with a seq_cst store and calls wake(), which touches
+// the mutex only when someone is parked.  Both sides use seq_cst, so either
+// the waiter's re-check under the mutex sees the store or wake() sees the
+// waiter in `parked`: no wakeup is lost.
+struct ParkingSpot {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::atomic<std::size_t> parked{0};
+
+  template <typename Ready>
+  void wait(Ready ready) {
+    for (std::size_t i = 1; i <= kSpinPolls; ++i) {
+      if (ready()) return;
+      if (i % kYieldEvery == 0) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+    }
+    std::unique_lock<std::mutex> lk(mu);
+    parked.fetch_add(1);
+    cv.wait(lk, ready);
+    parked.fetch_sub(1);
+  }
+
+  void wake() {
+    if (parked.load() == 0) return;
+    { std::lock_guard<std::mutex> lk(mu); }
+    cv.notify_all();
+  }
+};
+
+}  // namespace
+
+// The caller publishes a job in plain fields, then bumps `epoch`; a member
+// that sees the new epoch reads the job, runs its shards and counts
+// `pending` down, and the member that reaches zero wakes the caller.  The
+// caller only writes the next job after `pending` hits zero, so no member
+// can still be reading the old one, and the countdown also publishes any
+// error a member recorded.
+struct ShardTeam::Impl {
+  alignas(64) std::atomic<std::uint64_t> epoch{0};
+  alignas(64) std::atomic<std::size_t> pending{0};
+  ParkingSpot members_spot, caller_spot;
+
+  std::size_t size = 0;
+  std::size_t shards = 0;
+  void* fn = nullptr;
+  Call call = nullptr;
+  bool stopping = false;
+  std::mutex error_mu;  // taken only when a shard throws
+  std::exception_ptr error;
+  std::size_t error_shard = 0;
+  std::vector<std::thread> threads;
+
+  void run_member(std::size_t m) {
+    for (std::size_t s = m; s < shards; s += size) {
+      try {
+        call(fn, s);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(error_mu);
+        if (!error || s < error_shard) {
+          error = std::current_exception();
+          error_shard = s;
+        }
+      }
+    }
+  }
+
+  void member_loop(std::size_t m) {
+    std::uint64_t seen = 0;
+    while (true) {
+      members_spot.wait([&] { return epoch.load() != seen; });
+      seen = epoch.load(std::memory_order_acquire);
+      if (stopping) return;
+      run_member(m);
+      if (pending.fetch_sub(1) == 1) caller_spot.wake();
+    }
+  }
+
+  void stop() {
+    stopping = true;
+    epoch.fetch_add(1);
+    members_spot.wake();
+    for (std::thread& t : threads) t.join();
+  }
+};
+
+ShardTeam::ShardTeam(std::size_t threads) {
+  size_ = resolve_threads(threads);
+  if (size_ <= 1) return;
+  impl_ = new Impl;
+  impl_->size = size_;
+  try {
+    for (std::size_t m = 1; m < size_; ++m) {
+      impl_->threads.emplace_back([this, m] { impl_->member_loop(m); });
+    }
+  } catch (const std::exception& e) {
+    impl_->stop();
+    delete impl_;
+    throw holms::RuntimeError(std::string("ShardTeam: ") + e.what());
+  }
+}
+
+ShardTeam::~ShardTeam() {
+  if (impl_ == nullptr) return;
+  impl_->stop();
+  delete impl_;
+}
+
+void ShardTeam::dispatch(std::size_t shards, void* fn, Call call) {
+  if (impl_ == nullptr) {
+    for (std::size_t s = 0; s < shards; ++s) call(fn, s);
+    return;
+  }
+  Impl& t = *impl_;
+  t.shards = shards;
+  t.fn = fn;
+  t.call = call;
+  t.pending.store(size_ - 1, std::memory_order_relaxed);
+  t.epoch.fetch_add(1);  // publishes the job above
+  t.members_spot.wake();
+  t.run_member(0);
+  t.caller_spot.wait([&] { return t.pending.load() == 0; });
+  if (t.error) std::rethrow_exception(std::exchange(t.error, nullptr));
 }
 
 }  // namespace holms::exec

@@ -12,10 +12,14 @@
 // `threads == 0` means "use the hardware", `threads == 1` is the legacy
 // serial path (the loop body runs inline on the caller, no pool, no atomics
 // beyond the ones the body itself uses).
+//
+// ShardTeam is the pool's counterpart for the Markov solvers' fixed shard
+// grid: many short, equal sweeps, each shard pinned to one member.
 
 #include <cstddef>
 #include <functional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace holms::exec {
@@ -59,6 +63,47 @@ class ThreadPool {
  private:
   struct Impl;
   Impl* impl_ = nullptr;  // null for the serial (size <= 1) pool
+  std::size_t size_ = 1;
+};
+
+/// Static team for fixed-grid sharded sweeps (DESIGN.md §5g).  An iterative
+/// solve runs thousands of short sweeps back to back, and ThreadPool's
+/// mutex hand-off, dynamic claiming and std::function call cost more than a
+/// 256-column shard.  A team of size T runs shard s on member s % T every
+/// time, and the caller is member 0.  A release/acquire epoch counter starts
+/// a run and a countdown ends it.  Between runs each waiter spins for a
+/// bounded number of polls, then parks, so an idle or oversubscribed team
+/// sleeps instead of burning CPU.  The exception of the lowest throwing
+/// shard is rethrown on the caller (a team of size > 1 still runs every
+/// other shard first), and the team stays usable.
+class ShardTeam {
+ public:
+  /// `threads` is resolved via resolve_threads(); a team of size <= 1 spawns
+  /// no threads and runs inline.  Throws holms::RuntimeError when the OS
+  /// refuses a thread.
+  explicit ShardTeam(std::size_t threads);
+  ~ShardTeam();
+  ShardTeam(const ShardTeam&) = delete;
+  ShardTeam& operator=(const ShardTeam&) = delete;
+
+  std::size_t size() const { return size_; }
+
+  /// Runs body(s) for every s in [0, shards), shard s on member s % size().
+  /// Not safe to call concurrently on one team.
+  template <typename Body>
+  void run(std::size_t shards, Body&& body) {
+    using Fn = std::remove_reference_t<Body>;
+    dispatch(shards, &body, [](void* fn, std::size_t s) {
+      (*static_cast<Fn*>(fn))(s);
+    });
+  }
+
+ private:
+  using Call = void (*)(void*, std::size_t);
+  void dispatch(std::size_t shards, void* fn, Call call);
+
+  struct Impl;
+  Impl* impl_ = nullptr;  // null for the inline (size <= 1) team
   std::size_t size_ = 1;
 };
 

@@ -72,8 +72,8 @@ struct SolveOptions {
   /// iterate sequence is a function of the problem alone and solves are
   /// bitwise identical across 1/2/4/7/... threads.  `threads` follows the
   /// explorer convention (0 = hardware concurrency, 1 = run the shard loop
-  /// inline); a sharded solve with more than one thread starts its own pool
-  /// and joins it before returning.
+  /// inline); a sharded solve runs on its own exec::ShardTeam of
+  /// min(threads, shards) members and joins it before returning.
   std::size_t threads = 1;
   std::size_t parallel_min_states = 1024;
   std::size_t parallel_min_nnz = 4096;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "exec/error.hpp"
@@ -30,20 +29,31 @@ double l1_delta(std::span<const double> a, std::span<const double> b) {
 // Fixed shard grid for the parallel kernels (DESIGN.md §5g): always 256
 // columns per shard, *independent of the thread count*, so the work
 // decomposition — and therefore every floating-point accumulation order —
-// is a function of the problem size alone.  Workers claim whole shards from
-// the pool's atomic index counter and write only their own output columns.
+// is a function of the problem size alone.  Below the engagement floors the
+// grid is one shard spanning every column.  Shard s always runs on the same
+// team member and writes only its own output columns.
 constexpr std::size_t kShardCols = 256;
 
-std::size_t shard_count(std::size_t n) {
-  return (n + kShardCols - 1) / kShardCols;
+struct ShardGrid {
+  std::size_t n = 0;
+  std::size_t width = 0;
+
+  std::size_t count() const { return (n + width - 1) / width; }
+  std::size_t lo(std::size_t s) const { return s * width; }
+  std::size_t hi(std::size_t s) const { return std::min(n, lo(s) + width); }
+};
+
+ShardGrid solve_grid(const CsrMatrix& p, const SolveOptions& opts) {
+  const std::size_t n = p.rows();
+  if (!sharded_solve_engaged(n, p.nnz(), opts)) return {n, n};
+  exec::count("markov.sharded_solves");
+  return {n, kShardCols};
 }
 
-// The pool a sharded solve runs on: solve-local when `opts.threads` asks for
-// more than one thread, else null (parallel_for_each runs the shard loop
-// inline).
-std::unique_ptr<exec::ThreadPool> solve_pool(const SolveOptions& opts) {
-  const std::size_t t = exec::resolve_threads(opts.threads);
-  return t > 1 ? std::make_unique<exec::ThreadPool>(t) : nullptr;
+// The team a solve sweeps on: solve-local, at most one member per shard so
+// none idles (a size-1 team runs the shard loop inline).
+std::size_t team_size(const ShardGrid& grid, const SolveOptions& opts) {
+  return std::min(exec::resolve_threads(opts.threads), grid.count());
 }
 
 }  // namespace
@@ -121,22 +131,13 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
   // bitwise invariant to the thread count, the shard grid, and the ISA.
   const auto& k = exec::simd::kernels();
   const CsrMatrix pt = p.transposed();
-  const bool sharded = sharded_solve_engaged(n, p.nnz(), opts);
-  const auto pool = sharded ? solve_pool(opts) : nullptr;
-  const std::size_t shards = shard_count(n);
-  if (sharded) exec::count("markov.sharded_solves");
+  const ShardGrid grid = solve_grid(p, opts);
+  exec::ShardTeam team(team_size(grid, opts));
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    if (sharded) {
-      exec::parallel_for_each(pool.get(), shards, [&](std::size_t s) {
-        const std::size_t lo = s * kShardCols;
-        const std::size_t hi = std::min(n, lo + kShardCols);
-        k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
-                    pi.data(), next.data(), lo, hi);
-      });
-    } else {
+    team.run(grid.count(), [&](std::size_t s) {
       k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), pi.data(),
-                  next.data(), 0, n);
-    }
+                  next.data(), grid.lo(s), grid.hi(s));
+    });
     const double delta = l1_delta(pi, next);  // serial, fixed order
     pi.swap(next);
     res.iterations = it + 1;
@@ -181,23 +182,22 @@ SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   // a *different* (still convergent) iterate sequence than the hybrid,
   // which is why engagement is gated on size floors rather than on threads.
   const auto& k = exec::simd::kernels();
-  const bool sharded = sharded_solve_engaged(n, p.nnz(), opts);
-  const auto pool = sharded ? solve_pool(opts) : nullptr;
-  const std::size_t shards = shard_count(n);
-  if (sharded) exec::count("markov.sharded_solves");
+  const ShardGrid grid = solve_grid(p, opts);
+  // Where each column's sources cross its shard and its diagonal depends
+  // only on the matrix and the grid: found once here, not once per sweep.
+  exec::aligned_vector<exec::simd::GsBounds> bounds(n);
+  for (std::size_t s = 0; s < grid.count(); ++s) {
+    exec::simd::gs_bounds(pt.offsets_data(), pt.cols_data(), grid.lo(s),
+                          grid.hi(s), bounds.data());
+  }
+  exec::ShardTeam team(team_size(grid, opts));
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     next = pi;
-    if (sharded) {
-      exec::parallel_for_each(pool.get(), shards, [&](std::size_t s) {
-        const std::size_t lo = s * kShardCols;
-        const std::size_t hi = std::min(n, lo + kShardCols);
-        k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
-                  diag.data(), pi.data(), next.data(), lo, hi);
-      });
-    } else {
-      k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), diag.data(),
-                pi.data(), next.data(), 0, n);
-    }
+    team.run(grid.count(), [&](std::size_t s) {
+      k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
+                bounds.data(), diag.data(), pi.data(), next.data(), grid.lo(s),
+                grid.hi(s));
+    });
     normalize(next);  // serial, fixed order
     const double delta = l1_delta(pi, next);
     pi.swap(next);

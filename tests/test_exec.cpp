@@ -1,13 +1,16 @@
-// Tests for the holms::exec layer: deterministic thread pool, counter-based
-// RNG streams, metrics registry — and the two contracts the parallel
-// explorer refactor must keep: thread-count invariance and cache
-// transparency (ISSUE 1 acceptance criteria).
+// Tests for the holms::exec layer: deterministic thread pool, shard team,
+// counter-based RNG streams, metrics registry — and the two contracts the
+// parallel explorer must keep: thread-count invariance and cache
+// transparency.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -79,6 +82,101 @@ TEST(ThreadPool, ParallelTransformPreservesIndexOrder) {
 TEST(ThreadPool, ResolveThreadsZeroMeansHardware) {
   EXPECT_GE(resolve_threads(0), 1u);
   EXPECT_EQ(resolve_threads(3), 3u);
+}
+
+// ---------- shard team ----------
+
+// Longer than any waiter's spin bound, so the members are parked after it.
+void let_members_park() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(ShardTeam, RunsEachShardOnceOnItsFixedMember) {
+  ShardTeam team(4);
+  ASSERT_EQ(team.size(), 4u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> owner(4);  // member -> thread, from shard m
+  // Fewer shards than members, as many, more, and not a multiple.
+  for (const std::size_t shards : {1u, 3u, 4u, 8u, 11u, 4u, 1u}) {
+    std::vector<std::atomic<int>> hits(shards);
+    std::vector<std::thread::id> ran_on(shards);
+    team.run(shards, [&](std::size_t s) {
+      hits[s].fetch_add(1);
+      ran_on[s] = std::this_thread::get_id();  // each slot written once
+    });
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(hits[s].load(), 1) << "shards " << shards << " shard " << s;
+      const std::size_t m = s % team.size();
+      if (s < team.size() && owner[m] == std::thread::id{}) owner[m] = ran_on[s];
+      EXPECT_EQ(ran_on[s], owner[m]) << "shards " << shards << " shard " << s;
+    }
+  }
+  EXPECT_EQ(owner[0], caller);
+  EXPECT_EQ(std::set<std::thread::id>(owner.begin(), owner.end()).size(), 4u);
+}
+
+TEST(ShardTeam, BackToBackRunsWithAlternatingShardCountsComplete) {
+  // A lost wakeup would hang here: 10^5 hand-offs with no pause between
+  // them, the shard count flipping between fewer and more than the team.
+  ShardTeam team(4);
+  std::atomic<std::uint64_t> total{0};
+  std::uint64_t expected = 0;
+  for (int run = 0; run < 100000; ++run) {
+    const std::size_t shards = run % 2 == 0 ? 3 : 6;
+    team.run(shards, [&](std::size_t s) { total.fetch_add(s + 1); });
+    expected += shards * (shards + 1) / 2;
+  }
+  EXPECT_EQ(total.load(), expected);
+}
+
+TEST(ShardTeam, RunCompletesAfterMembersParked) {
+  ShardTeam team(3);
+  for (int round = 0; round < 3; ++round) {
+    let_members_park();
+    std::atomic<int> n{0};
+    team.run(7, [&](std::size_t) { n.fetch_add(1); });
+    EXPECT_EQ(n.load(), 7);
+  }
+}
+
+TEST(ShardTeam, DestroysWhileMembersParked) {
+  { ShardTeam never_ran(4); }
+  ShardTeam team(4);
+  std::atomic<int> n{0};
+  team.run(4, [&](std::size_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 4);
+  let_members_park();
+  // team's destructor runs here, with every member parked.
+}
+
+TEST(ShardTeam, SizeOneRunsInlineOnCaller) {
+  ShardTeam team(1);
+  EXPECT_EQ(team.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  team.run(5, [&](std::size_t s) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(static_cast<int>(s));  // safe: inline, single thread
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ShardTeam, PropagatesLowestShardExceptionAndStaysUsable) {
+  ShardTeam team(4);
+  std::vector<std::atomic<int>> hits(16);
+  try {
+    team.run(16, [&](std::size_t s) {
+      hits[s].fetch_add(1);
+      if (s == 13 || s == 6) throw std::runtime_error(std::to_string(s));
+    });
+    ADD_FAILURE() << "run() swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "6");
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);  // every shard ran
+  std::atomic<int> n{0};
+  team.run(16, [&](std::size_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 16);
 }
 
 // ---------- counter-based RNG streams ----------

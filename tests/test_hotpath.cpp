@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -27,11 +26,15 @@
 #include "noc/topology.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "support/chains.hpp"
 #include "support/sa_oracle.hpp"
 
 namespace {
 
 using namespace holms;
+using test_support::banded_chain;
+using test_support::bits_digest;
+using test_support::tandem_chain;
 
 // ---------------------------------------------------------------------------
 // Incremental SA move evaluation.
@@ -397,43 +400,14 @@ markov::Dtmc birth_death_chain(std::size_t n) {
   return d;
 }
 
-// FNV-1a over the bit patterns of a distribution: a one-word fingerprint of
-// every state's exact bits.
-std::uint64_t bits_digest(const std::vector<double>& v) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const double x : v) {
-    const auto bits = std::bit_cast<std::uint64_t>(x);
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
-// Two-station tandem queue, `levels` jobs per station: arrivals at lambda,
-// station-1 service moves a job downstream at mu1, station 2 serves at mu2.
-markov::Ctmc tandem_chain(std::size_t levels, double lambda, double mu1,
-                          double mu2) {
-  markov::Ctmc q(levels * levels);
-  auto index = [&](std::size_t i, std::size_t j) { return i * levels + j; };
-  for (std::size_t i = 0; i < levels; ++i) {
-    for (std::size_t j = 0; j < levels; ++j) {
-      const std::size_t s = index(i, j);
-      if (i + 1 < levels) q.set_rate(s, index(i + 1, j), lambda);
-      if (i > 0 && j + 1 < levels) q.set_rate(s, index(i - 1, j + 1), mu1);
-      if (j > 0) q.set_rate(s, index(i, j - 1), mu2);
-    }
-  }
-  return q;
-}
-
 TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   // Reference values from the dense-storage chains (row-major O(n^2)
   // transient sweep, CSR built by scanning a dense matrix): the sparse-row
-  // chains must reproduce every iterate bit for bit.  The solves stay below
-  // the sharding floors and reduce through exec::simd's fixed lane order, so
-  // the digests hold under every HOLMS_SIMD / HOLMS_THREADS setting.
+  // chains must reproduce every iterate bit for bit.  The first solves stay
+  // below the sharding floors; the tandem and banded solves further down
+  // run the fixed-grid sharded kernels.  All reduce through exec::simd's
+  // fixed lane order, so the digests hold under every HOLMS_SIMD /
+  // HOLMS_THREADS setting.
   const markov::Dtmc d = birth_death_chain(128);
   struct Pin {
     markov::SteadyStateMethod method;
@@ -460,6 +434,53 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   const auto pt = q.transient(empty, 3.0);
   EXPECT_EQ(pt[0], 0x1.a0f15a767c0b2p-3);
   EXPECT_EQ(bits_digest(pt), 0x864511e7b7efbec3ull);
+
+  // Solves above the sharding floors, pinned from the pool-based executor
+  // that ran each sweep through ThreadPool::parallel_for and searched the GS
+  // segment bounds per column per sweep.  ThreadInvariance.* compares the
+  // sharded path only with itself; these pins also catch a team or bounds
+  // bug that gives the same wrong answer at every thread count.  The tandem
+  // is design_farm32's shape: n = 1296, six shards, the last 16 columns
+  // wide.  The banded chain uses the ThreadInvariance floors.
+  const markov::Ctmc tandem = tandem_chain(36, 1.0, 1.12, 1.17);
+  const markov::Dtmc banded = banded_chain(1500, 4);
+  struct ShardedPin {
+    const char* chain;
+    markov::SteadyStateMethod method;
+    std::size_t iterations;
+    std::uint64_t digest;
+  };
+  for (const ShardedPin& pin :
+       {ShardedPin{"tandem", markov::SteadyStateMethod::kPowerIteration,
+                   6076, 0x5b3ade1389dd293aull},
+        ShardedPin{"tandem", markov::SteadyStateMethod::kGaussSeidel, 4069,
+                   0x03772ba74967c216ull},
+        ShardedPin{"banded", markov::SteadyStateMethod::kPowerIteration,
+                   10410, 0x1f75965e547e5602ull},
+        ShardedPin{"banded", markov::SteadyStateMethod::kGaussSeidel, 2352,
+                   0x3cb0328ed0221475ull}}) {
+    const bool is_tandem = std::string(pin.chain) == "tandem";
+    markov::SolveOptions opts;
+    opts.method = pin.method;
+    if (is_tandem) {
+      opts.tolerance = 1e-10;
+    } else {
+      opts.parallel_min_states = 256;
+      opts.parallel_min_nnz = 1024;
+    }
+    for (const std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+      opts.threads = t;
+      const auto r = is_tandem ? tandem.steady_state(opts)
+                               : banded.steady_state(opts);
+      ASSERT_TRUE(r.converged) << pin.chain;
+      EXPECT_EQ(r.iterations, pin.iterations)
+          << pin.chain << " method " << static_cast<int>(pin.method)
+          << " threads " << t;
+      EXPECT_EQ(bits_digest(r.distribution), pin.digest)
+          << pin.chain << " method " << static_cast<int>(pin.method)
+          << " threads " << t;
+    }
+  }
 }
 
 TEST(SparseSolve, IterativeSolvesMatchDirectLU) {
@@ -496,29 +517,6 @@ TEST(SparseSolve, IterativeSolvesMatchDirectLU) {
 // Thread-count invariance: the sharded solvers and explore() must be a
 // function of the problem alone, never of the worker count.
 // ---------------------------------------------------------------------------
-
-// Banded chain: each state talks to its `band` neighbors on each side, so
-// nnz ~ n * (2*band + 1) — big and sparse enough to clear the sharding
-// floors without being trivial.  Forward drift (0.3 up vs 0.2 down) keeps
-// the spectral gap bounded away from 1 so the iterative solvers converge.
-markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
-  markov::Dtmc d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = i > band ? i - band : 0;
-    const std::size_t hi = std::min(n - 1, i + band);
-    double off = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      if (j == i) continue;
-      const double side = j > i ? 0.3 : 0.2;
-      const std::size_t count = j > i ? hi - i : i - lo;
-      const double w = side / static_cast<double>(count);
-      d.set(i, j, w);
-      off += w;
-    }
-    d.set(i, i, 1.0 - off);
-  }
-  return d;
-}
 
 TEST(ThreadInvariance, SparseSolvesBitwiseAcrossThreadCounts) {
   const std::size_t n = 1500;
@@ -940,6 +938,48 @@ TestCsr random_csr(sim::Rng& rng, std::size_t ncols) {
   return m;
 }
 
+// Test-local gs_cols oracle: finds each column's segment bounds with
+// per-column std::lower_bound searches, and reduces each segment in the
+// canonical 8-lane order of exec/simd.hpp, independently of the kernels.
+double lane_dot(const TestCsr& m, const std::vector<double>& x, std::size_t b,
+                std::size_t e) {
+  double l[8] = {};
+  std::size_t i = b;
+  for (; i + 8 <= e; i += 8) {
+    for (std::size_t k = 0; k < 8; ++k) l[k] += m.vals[i + k] * x[m.srcs[i + k]];
+  }
+  double r = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+  for (; i < e; ++i) r += m.vals[i] * x[m.srcs[i]];
+  return r;
+}
+
+simd::GsBounds reference_bounds(const TestCsr& m, std::size_t c,
+                                std::size_t lo, std::size_t hi) {
+  const auto b = m.srcs.begin() + static_cast<std::ptrdiff_t>(m.offsets[c]);
+  const auto e = m.srcs.begin() + static_cast<std::ptrdiff_t>(m.offsets[c + 1]);
+  const auto lo_p = std::lower_bound(b, e, static_cast<std::uint32_t>(lo));
+  const auto hi_p = std::lower_bound(lo_p, e, static_cast<std::uint32_t>(hi));
+  const auto d_p = std::lower_bound(lo_p, hi_p, static_cast<std::uint32_t>(c));
+  const bool stored = d_p != hi_p && *d_p == c;
+  return {static_cast<std::uint32_t>(lo_p - b), static_cast<std::uint32_t>(d_p - b),
+          static_cast<std::uint32_t>(d_p - b) + (stored ? 1u : 0u),
+          static_cast<std::uint32_t>(hi_p - b)};
+}
+
+void reference_gs_cols(const TestCsr& m, const std::vector<double>& diag,
+                       const std::vector<double>& pi, std::vector<double>& next,
+                       std::size_t lo, std::size_t hi) {
+  for (std::size_t c = lo; c < hi; ++c) {
+    const std::size_t b = m.offsets[c], e = m.offsets[c + 1];
+    const simd::GsBounds g = reference_bounds(m, c, lo, hi);
+    const double acc = ((lane_dot(m, pi, b, b + g.lo) +
+                         lane_dot(m, next, b + g.lo, b + g.diag)) +
+                        lane_dot(m, next, b + g.diag_end, b + g.hi)) +
+                       lane_dot(m, pi, b + g.hi, e);
+    next[c] = diag[c] < 1.0 ? acc / (1.0 - diag[c]) : acc;
+  }
+}
+
 TEST(Simd, SpmvAndGaussSeidelKernelsBitwiseIdentical) {
   const simd::Kernels& s = simd::kernels_for(simd::Isa::kScalar);
   const simd::Kernels& v = simd::kernels_for(simd::best_isa());
@@ -966,12 +1006,38 @@ TEST(Simd, SpmvAndGaussSeidelKernelsBitwiseIdentical) {
                 o3.data(), mid, n);
     EXPECT_EQ(o1, o3) << "sharded spmv trial " << trial;
 
-    std::vector<double> g1 = pi, g2 = pi;
-    s.gs_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), diag.data(),
-              pi.data(), g1.data(), 0, n);
-    v.gs_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), diag.data(),
-              pi.data(), g2.data(), 0, n);
-    EXPECT_EQ(g1, g2) << "gs trial " << trial;
+    // The full range, then random interior shards (lo > 0, hi < n) where
+    // the below-shard and above-shard segments are non-empty.
+    std::vector<std::pair<std::size_t, std::size_t>> cuts{{0, n}};
+    for (int k = 0; k < 4 && n >= 3; ++k) {
+      const auto lo = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(n) - 2));
+      const auto hi = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(lo) + 1, static_cast<std::int64_t>(n) - 1));
+      cuts.emplace_back(lo, hi);
+    }
+    std::vector<simd::GsBounds> bounds(n);
+    for (const auto& [lo, hi] : cuts) {
+      simd::gs_bounds(m.offsets.data(), m.srcs.data(), lo, hi, bounds.data());
+      for (std::size_t c = lo; c < hi; ++c) {
+        const simd::GsBounds r = reference_bounds(m, c, lo, hi);
+        ASSERT_EQ(bounds[c].lo, r.lo) << "trial " << trial << " col " << c;
+        ASSERT_EQ(bounds[c].diag, r.diag) << "trial " << trial << " col " << c;
+        ASSERT_EQ(bounds[c].diag_end, r.diag_end)
+            << "trial " << trial << " col " << c;
+        ASSERT_EQ(bounds[c].hi, r.hi) << "trial " << trial << " col " << c;
+      }
+      std::vector<double> g1 = pi, g2 = pi, g3 = pi;
+      s.gs_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), bounds.data(),
+                diag.data(), pi.data(), g1.data(), lo, hi);
+      v.gs_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), bounds.data(),
+                diag.data(), pi.data(), g2.data(), lo, hi);
+      reference_gs_cols(m, diag, pi, g3, lo, hi);
+      EXPECT_EQ(g1, g3) << "scalar gs trial " << trial << " [" << lo << ", "
+                        << hi << ")";
+      EXPECT_EQ(g2, g3) << v.name << " gs trial " << trial << " [" << lo
+                        << ", " << hi << ")";
+    }
   }
 }
 

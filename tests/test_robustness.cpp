@@ -24,6 +24,7 @@
 #include "stream/lipsync.hpp"
 #include "stream/stream_system.hpp"
 #include "streaming/fgs.hpp"
+#include "support/chains.hpp"
 #include "traffic/sources.hpp"
 #include "wireless/jscc.hpp"
 
@@ -74,6 +75,28 @@ TEST(Robust, PeriodicChainStillSolvableByDirectMethod) {
   lu.method = holms::markov::SteadyStateMethod::kDirectLU;
   const auto r = d.steady_state(lu);
   EXPECT_NEAR(r.distribution[0], 0.5, 1e-9);
+}
+
+TEST(Robust, HugeThreadCountSolvesOnOneMemberPerShard) {
+  // A sharded solve starts at most one team member per shard, so a thread
+  // count far past any OS thread limit neither exhausts the process nor
+  // changes a bit: six shards, six members.
+  const holms::markov::Dtmc d = holms::test_support::banded_chain(1500, 4);
+  for (const auto method : {holms::markov::SteadyStateMethod::kPowerIteration,
+                            holms::markov::SteadyStateMethod::kGaussSeidel}) {
+    holms::markov::SolveOptions opts;
+    opts.method = method;
+    opts.parallel_min_states = 256;
+    opts.parallel_min_nnz = 1024;
+    opts.max_iterations = 200;
+    opts.threads = 1;
+    const auto serial = d.steady_state(opts);
+    opts.threads = std::size_t{1} << 20;
+    const auto huge = d.steady_state(opts);
+    EXPECT_EQ(serial.iterations, huge.iterations);
+    EXPECT_EQ(holms::test_support::bits_digest(serial.distribution),
+              holms::test_support::bits_digest(huge.distribution));
+  }
 }
 
 // The chain API checks its arguments in every build type: an assert would
