@@ -5,7 +5,8 @@
 // Custom main(): besides the google-benchmark tables, a set of hand-timed
 // headline rates (SA moves/s full vs incremental, stationary solve wall
 // time, simulator events/s, fault-tolerant NoC replay cycles/s,
-// scalar-vs-SIMD kernel speedups) is written into
+// scalar-vs-SIMD kernel speedups, farm scheduling and capped-SA rates) is
+// written into
 // BENCH_micro.json — the CI perf-smoke job gates those numbers against
 // bench/thresholds.json.
 #include <benchmark/benchmark.h>
@@ -20,6 +21,8 @@
 
 #include "asip/kernels.hpp"
 #include "bench_util.hpp"
+#include "core/evaluator.hpp"
+#include "core/platform.hpp"
 #include "exec/aligned.hpp"
 #include "exec/simd.hpp"
 #include "fault/schedule.hpp"
@@ -28,6 +31,7 @@
 #include "markov/queueing.hpp"
 #include "noc/mapping.hpp"
 #include "noc/router.hpp"
+#include "noc/scheduling.hpp"
 #include "noc/taskgraph.hpp"
 #include "sim/simulator.hpp"
 #include "support/chains.hpp"
@@ -416,6 +420,54 @@ void sa_move_mix_metrics(holms::bench::BenchReport& report) {
               swap_rate > 0.0 ? mixed_rate / swap_rate : 0.0);
 }
 
+// Two core hot paths on the 202-task farm (surveillance_farm_graph(46)) that
+// the E4 mms rates above never reach: schedule_energy_aware on the greedy
+// 32x32 mapping (period 1 s, so the proportional policy stretches and
+// repairs — many list_schedule passes per call), and SA on the 32x32 mesh
+// with links capped at 240 Mbps, where the greedy packing overloads links
+// and the overload penalty keeps the busiest-link rescan live.  Best of 3.
+void farm_core_metrics(holms::bench::BenchReport& report) {
+  holms::core::Application app;
+  app.graph = holms::noc::surveillance_farm_graph(46);
+  app.qos.period_s = 1.0;
+  const holms::core::Platform plat =
+      holms::core::Platform::homogeneous(32, 32);
+  const holms::noc::Mapping greedy =
+      holms::noc::greedy_mapping(app.graph, plat.mesh, plat.noc_energy);
+  const holms::noc::SchedProblem prob =
+      holms::core::make_sched_problem(app, plat, greedy);
+  holms::noc::SaOptions sa;
+  sa.iterations = 200000;
+  sa.cooling = 1.0 - 1.0 / static_cast<double>(sa.iterations);
+  sa.link_capacity_bps = 2.4e8;
+  constexpr int kSchedCalls = 4000;
+  double sched_dt = std::numeric_limits<double>::infinity();
+  double sa_dt = sched_dt;
+  for (int rep = 0; rep < 4; ++rep) {  // rep 0 warms up
+    auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSchedCalls; ++i) {
+      benchmark::DoNotOptimize(
+          holms::noc::schedule_energy_aware(prob).total_energy_j);
+    }
+    if (rep > 0) sched_dt = std::min(sched_dt, seconds_since(t0));
+    holms::sim::Rng rng(4);
+    t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        holms::noc::sa_mapping_from(app.graph, plat.mesh, plat.noc_energy,
+                                    greedy, rng, sa)
+            .data());
+    if (rep > 0) sa_dt = std::min(sa_dt, seconds_since(t0));
+  }
+  const double sched_rate = kSchedCalls / sched_dt;
+  const double sa_rate = static_cast<double>(sa.iterations) / sa_dt;
+  report.set("sched_eas_per_s_farm202", sched_rate);
+  report.set("sa_moves_per_s_capped_farm32", sa_rate);
+  std::printf(
+      "-- farm202: energy-aware schedules/s %.3g, capped 32x32 SA moves/s "
+      "%.3g\n",
+      sched_rate, sa_rate);
+}
+
 // Scalar-vs-SIMD wall-clock speedups for the two reduction-heavy kernels,
 // measured through kernels_for() so the numbers reflect what the hardware
 // can do regardless of the HOLMS_SIMD setting.  The two tables produce
@@ -585,6 +637,7 @@ void headline_metrics(holms::bench::BenchReport& report) {
   threaded_solve_metrics(report);
   tandem_sweep_metrics(report);
   sa_move_mix_metrics(report);
+  farm_core_metrics(report);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include "core/ambient.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -17,47 +17,34 @@ namespace {
 // incremental communication energy (greedy repair, cheap enough to run
 // online).  Returns false if no live tile remains for some task.
 bool remap_off_dead_tiles(const Application& app, const Platform& platform,
+                          const noc::IncidenceIndex& inc,
                           const std::vector<bool>& tile_alive,
                           noc::Mapping& mapping) {
-  std::vector<bool> used(platform.mesh.num_tiles(), false);
-  for (std::size_t i = 0; i < mapping.size(); ++i) {
-    if (tile_alive[mapping[i]]) used[mapping[i]] = true;
-  }
+  const noc::Mesh2D& mesh = platform.mesh;
+  std::vector<bool> spare = tile_alive;  // live tiles no task holds
+  for (const noc::TileId t : mapping) spare[t] = false;
+  std::vector<noc::PlacementPin> pins;
   for (std::size_t i = 0; i < mapping.size(); ++i) {
     if (tile_alive[mapping[i]]) continue;
-    auto pick = [&](bool allow_shared) {
-      double best_cost = std::numeric_limits<double>::infinity();
-      std::size_t best_tile = platform.mesh.num_tiles();
-      for (std::size_t t = 0; t < platform.mesh.num_tiles(); ++t) {
-        if (!tile_alive[t] || (!allow_shared && used[t])) continue;
-        double cost = 0.0;
-        for (const auto& e : app.graph.edges()) {
-          if (e.src == i) {
-            // HOLMS_LINT_ALLOW(D006): constructive greedy oracle; edge list walked in declaration order
-            cost += platform.noc_energy.transfer_energy(
-                e.volume_bits, platform.mesh.hops(t, mapping[e.dst]));
-          } else if (e.dst == i) {
-            // HOLMS_LINT_ALLOW(D006): constructive greedy oracle; edge list walked in declaration order
-            cost += platform.noc_energy.transfer_energy(
-                e.volume_bits, platform.mesh.hops(mapping[e.src], t));
-          }
-        }
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_tile = t;
-        }
-      }
-      return best_tile;
-    };
+    // One pin per incident edge, in edge declaration order (which fixes
+    // the summation order of each tile's cost): the edge volume and the
+    // current tile of the other endpoint.
+    pins.clear();
+    for (const std::uint32_t o : inc.of(i)) {
+      const noc::AppEdge& e = app.graph.edges()[o >> 1];
+      const noc::TileId other = mapping[(o & 1) ? e.dst : e.src];
+      pins.push_back({mesh.x_of(other), mesh.y_of(other), e.volume_bits});
+    }
     // Prefer a spare tile; once spares run out, share a live tile — the
     // application keeps running, possibly degraded (deadline pressure).
-    std::size_t best_tile = pick(/*allow_shared=*/false);
-    if (best_tile >= platform.mesh.num_tiles()) {
-      best_tile = pick(/*allow_shared=*/true);
+    noc::TileId best =
+        noc::cheapest_tile(mesh, platform.noc_energy, pins, spare);
+    if (best >= mesh.num_tiles()) {
+      best = noc::cheapest_tile(mesh, platform.noc_energy, pins, tile_alive);
     }
-    if (best_tile >= platform.mesh.num_tiles()) return false;  // all dead
-    mapping[i] = best_tile;
-    used[best_tile] = true;
+    if (best >= mesh.num_tiles()) return false;  // all dead
+    mapping[i] = best;
+    spare[best] = false;
   }
   return true;
 }
@@ -148,6 +135,7 @@ AmbientResult run_ambient_scenario(const Application& app,
           ? *opts.initial_mapping
           : noc::greedy_mapping(app.graph, platform.mesh, platform.noc_energy);
   noc::Mapping mapping = design_mapping;
+  const noc::IncidenceIndex inc(app.graph);
 
   std::vector<bool> tile_alive(platform.mesh.num_tiles(), true);
   const double period = app.qos.period_s;
@@ -205,7 +193,7 @@ AmbientResult run_ambient_scenario(const Application& app,
       if (policy == FaultPolicy::kAdaptiveRemap) {
         if (any_dead_in_use) {
           mapping_valid =
-              remap_off_dead_tiles(app, platform, tile_alive, mapping);
+              remap_off_dead_tiles(app, platform, inc, tile_alive, mapping);
           if (mapping_valid) {
             ++res.remaps_performed;
             displaced = mapping != design_mapping;

@@ -21,6 +21,8 @@
 // min/max use the SSE/AVX minpd/maxpd convention: min(a,b) = a < b ? a : b
 // (second operand on ties/NaN).  For the non-negative quantities these
 // kernels process that convention is bit-identical to std::min/std::max.
+// The `max` reduction combines its lane maxima in the same tree shape as a
+// sum; on NaN-free input with no -0 it equals std::max_element exactly.
 //
 // Dispatch: resolved once per process from the HOLMS_SIMD environment
 // variable ("off"/"scalar", "avx2", "neon", or "auto"/unset = best
@@ -129,6 +131,11 @@ struct Kernels {
   double (*transfer_delta)(const double* vol, const double* old_hops,
                            const double* new_hops, std::size_t n,
                            double e_router_pj, double e_link_pj);
+  /// max(x[0..n)), -inf for n == 0: 8 lane maxima (vmax convention), then
+  /// the lanes and the tail.  On NaN-free input with no -0 the maximum is
+  /// exact, so the result equals *std::max_element bit for bit — the
+  /// SwapEvaluator busiest-link rescan relies on that.
+  double (*max)(const double* x, std::size_t n);
   /// Batched FGS slot arithmetic (see FgsSlotBatch).
   void (*fgs_slots)(const FgsSlotBatch& b);
 };

@@ -70,9 +70,16 @@ bool FailureDomainTree::is_ancestor(std::size_t ancestor,
 std::vector<TargetRef> FailureDomainTree::targets_under(
     std::size_t domain) const {
   check_domain(domain, "targets_under");
+  // A domain's id exceeds its parent's (add_domain appends), so one
+  // ascending pass from `domain` marks its whole subtree.
+  std::vector<bool> under(parent_.size(), false);
+  under[domain] = true;
+  for (std::size_t d = domain + 1; d < parent_.size(); ++d) {
+    under[d] = under[parent_[d]];
+  }
   std::vector<TargetRef> out;
   for (std::size_t i = 0; i < target_ref_.size(); ++i) {
-    if (is_ancestor(domain, target_domain_[i])) out.push_back(target_ref_[i]);
+    if (under[target_domain_[i]]) out.push_back(target_ref_[i]);
   }
   std::sort(out.begin(), out.end(), [](const TargetRef& a, const TargetRef& b) {
     return std::tie(a.target, a.id) < std::tie(b.target, b.id);
@@ -82,11 +89,7 @@ std::vector<TargetRef> FailureDomainTree::targets_under(
 
 std::size_t FailureDomainTree::subtree_targets(std::size_t domain) const {
   check_domain(domain, "subtree_targets");
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < target_ref_.size(); ++i) {
-    if (is_ancestor(domain, target_domain_[i])) ++n;
-  }
-  return n;
+  return targets_under(domain).size();
 }
 
 std::uint64_t FailureDomainTree::fingerprint() const {

@@ -1,7 +1,9 @@
-// HOLMS_LINT_ALLOW_FILE(D006): evaluate_mapping, the constructive greedy and
-// rebuild() walk the edge list in its fixed declaration order — they define
-// the reference answer the O(deg) hot path is tested against.  The hot path
-// (swap_step) reduces through exec::simd::transfer_delta.
+// HOLMS_LINT_ALLOW_FILE(D006): evaluate_mapping, the constructive placers'
+// cheapest_tile and rebuild() walk the edge list (or a core's incident edges)
+// in its fixed declaration order — they define the reference answer the
+// O(deg) hot path is tested against.  The hot path (swap_step) reduces
+// through exec::simd::transfer_delta, and the busiest-link rescan through
+// exec::simd's max kernel.
 #include "noc/mapping.hpp"
 
 #include <algorithm>
@@ -9,7 +11,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 
 #include "exec/metrics.hpp"
@@ -78,41 +79,27 @@ Mapping random_mapping(std::size_t num_cores, const Mesh2D& mesh,
   return Mapping(tiles.begin(), tiles.begin() + static_cast<long>(num_cores));
 }
 
-namespace {
-
-// Incident-occurrence CSR over cores: occurrence = edge_index * 2 + role
-// (role 1 = the core is the edge's src).  Per-core occurrence lists are in
-// edge order with the src role first, so any per-core accumulation visits
-// edges in exactly the order a full scan over g.edges() would — sums stay
-// bitwise identical to the pre-index code.
-struct IncidenceIndex {
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> occ;
-
-  explicit IncidenceIndex(const AppGraph& g) {
-    const std::size_t n = g.num_nodes();
-    std::vector<std::uint32_t> degree(n, 0);
-    for (const auto& e : g.edges()) {
-      ++degree[e.src];
-      ++degree[e.dst];
+TileId cheapest_tile(const Mesh2D& mesh, const EnergyModel& energy,
+                     const std::vector<PlacementPin>& pins,
+                     const std::vector<bool>& allowed) {
+  TileId best_tile = mesh.num_tiles();
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (TileId t = 0; t < mesh.num_tiles(); ++t) {
+    if (!allowed[t]) continue;
+    const std::size_t tx = mesh.x_of(t), ty = mesh.y_of(t);
+    double cost = 0.0;
+    for (const PlacementPin& p : pins) {
+      const std::size_t h = (tx > p.x ? tx - p.x : p.x - tx) +
+                            (ty > p.y ? ty - p.y : p.y - ty);
+      cost += energy.transfer_energy(p.volume_bits, h);
     }
-    offsets.assign(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) offsets[i + 1] = offsets[i] + degree[i];
-    occ.resize(offsets[n]);
-    std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
-    for (std::size_t ei = 0; ei < g.edges().size(); ++ei) {
-      const auto& e = g.edges()[ei];
-      occ[fill[e.src]++] = static_cast<std::uint32_t>(ei * 2 + 1);
-      occ[fill[e.dst]++] = static_cast<std::uint32_t>(ei * 2);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_tile = t;
     }
   }
-
-  std::span<const std::uint32_t> of(std::size_t core) const {
-    return {occ.data() + offsets[core], occ.data() + offsets[core + 1]};
-  }
-};
-
-}  // namespace
+  return best_tile;
+}
 
 Mapping greedy_mapping(const AppGraph& g, const Mesh2D& mesh,
                        const EnergyModel& energy) {
@@ -122,7 +109,7 @@ Mapping greedy_mapping(const AppGraph& g, const Mesh2D& mesh,
   }
   Mapping m(n, 0);
   std::vector<bool> core_placed(n, false);
-  std::vector<bool> tile_used(mesh.num_tiles(), false);
+  std::vector<bool> tile_free(mesh.num_tiles(), true);
   const IncidenceIndex inc(g);
 
   // Seed: the highest-traffic core goes to the mesh center.
@@ -138,17 +125,13 @@ Mapping greedy_mapping(const AppGraph& g, const Mesh2D& mesh,
   const TileId center = mesh.tile_at(mesh.width() / 2, mesh.height() / 2);
   m[seed] = center;
   core_placed[seed] = true;
-  tile_used[center] = true;
+  tile_free[center] = false;
 
   // Pins of the core being placed: the already-placed endpoints of its
-  // incident edges, with coordinates hoisted so the tile loop below does
-  // pure integer Manhattan arithmetic instead of re-scanning every edge and
+  // incident edges, with coordinates hoisted so the tile loop does pure
+  // integer Manhattan arithmetic instead of re-scanning every edge and
   // re-deriving mesh coordinates per candidate tile.
-  struct Pin {
-    std::size_t x, y;
-    double volume_bits;
-  };
-  std::vector<Pin> pins;
+  std::vector<PlacementPin> pins;
   pins.reserve(g.edges().size());
 
   for (std::size_t placed = 1; placed < n; ++placed) {
@@ -175,27 +158,12 @@ Mapping greedy_mapping(const AppGraph& g, const Mesh2D& mesh,
       const std::size_t other = (o & 1) ? e.dst : e.src;
       if (!core_placed[other]) continue;
       const TileId ot = m[other];
-      pins.push_back(Pin{mesh.x_of(ot), mesh.y_of(ot), e.volume_bits});
+      pins.push_back({mesh.x_of(ot), mesh.y_of(ot), e.volume_bits});
     }
-    TileId best_tile = 0;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (TileId t = 0; t < mesh.num_tiles(); ++t) {
-      if (tile_used[t]) continue;
-      const std::size_t tx = mesh.x_of(t), ty = mesh.y_of(t);
-      double cost = 0.0;
-      for (const Pin& p : pins) {
-        const std::size_t h = (tx > p.x ? tx - p.x : p.x - tx) +
-                              (ty > p.y ? ty - p.y : p.y - ty);
-        cost += energy.transfer_energy(p.volume_bits, h);
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_tile = t;
-      }
-    }
+    const TileId best_tile = cheapest_tile(mesh, energy, pins, tile_free);
     m[next] = best_tile;
     core_placed[next] = true;
-    tile_used[best_tile] = true;
+    tile_free[best_tile] = false;
   }
   return m;
 }
@@ -355,6 +323,7 @@ SwapEvaluator::SwapEvaluator(const AppGraph& g, const Mesh2D& mesh,
       capacity_(link_capacity_bps),
       penalty_(infeasibility_penalty),
       routes_(shared_routes != nullptr ? *shared_routes : XyRouteTable(mesh)),
+      inc_(g),
       m_(std::move(m)) {
   if (routes_.tiles() != mesh.num_tiles()) {
     throw holms::InvalidArgument(
@@ -363,9 +332,6 @@ SwapEvaluator::SwapEvaluator(const AppGraph& g, const Mesh2D& mesh,
   if (m_.size() != g_.num_nodes()) {
     throw holms::InvalidArgument("SwapEvaluator: mapping size mismatch");
   }
-  const IncidenceIndex inc(g_);
-  inc_offsets_ = inc.offsets;
-  inc_edges_ = inc.occ;
   cluster_top_ = cluster_neighbor_table(g_);
   // A move touches the routes of deg(a) + deg(b) edges, each route once per
   // endpoint in the worst case.
@@ -388,18 +354,18 @@ void SwapEvaluator::rebuild() {
     const double bw = e.bandwidth_bps > 0.0 ? e.bandwidth_bps : e.volume_bits;
     route.for_each_link([&](std::uint32_t link) { link_load_[link] += bw; });
   }
-  max_load_ = link_load_.empty()
-                  ? 0.0
-                  : *std::max_element(link_load_.begin(), link_load_.end());
-  max_dirty_ = false;
+  max_dirty_ = true;  // the first max_link_load_bps() scans the fresh loads
   move_open_ = false;
 }
 
 double SwapEvaluator::max_link_load_bps() {
   if (max_dirty_) {
-    max_load_ = link_load_.empty()
-                    ? 0.0
-                    : *std::max_element(link_load_.begin(), link_load_.end());
+    // Loads are finite (AppGraph::add_edge rejects non-finite volumes and
+    // bandwidths) and never -0, so the lane-max kernel returns exactly
+    // std::max_element's value.
+    max_load_ = link_load_.empty() ? 0.0
+                                   : exec::simd::kernels().max(
+                                         link_load_.data(), link_load_.size());
     max_dirty_ = false;
   }
   return max_load_;
@@ -483,14 +449,10 @@ void SwapEvaluator::swap_step(TileId a, TileId b) {
     }
   };
   if (ca != kEmpty) {
-    for (const std::uint32_t o : std::span(inc_edges_)
-             .subspan(inc_offsets_[ca], inc_offsets_[ca + 1] - inc_offsets_[ca])) {
-      apply_edge(g_.edges()[o >> 1]);
-    }
+    for (const std::uint32_t o : inc_.of(ca)) apply_edge(g_.edges()[o >> 1]);
   }
   if (cb != kEmpty) {
-    for (const std::uint32_t o : std::span(inc_edges_)
-             .subspan(inc_offsets_[cb], inc_offsets_[cb + 1] - inc_offsets_[cb])) {
+    for (const std::uint32_t o : inc_.of(cb)) {
       const AppEdge& e = g_.edges()[o >> 1];
       if (ca != kEmpty && (e.src == ca || e.dst == ca)) continue;  // done above
       apply_edge(e);

@@ -51,6 +51,22 @@ Mapping random_mapping(std::size_t num_cores, const Mesh2D& mesh,
 Mapping greedy_mapping(const AppGraph& g, const Mesh2D& mesh,
                        const EnergyModel& energy);
 
+/// A placed peer of the core being placed: the peer's tile coordinates and
+/// the volume of the edge between them.
+struct PlacementPin {
+  std::size_t x = 0, y = 0;
+  double volume_bits = 0.0;
+};
+
+/// The tile t with allowed[t] minimizing the core's incremental energy, the
+/// sum over `pins` in order of transfer_energy(volume_bits, Manhattan
+/// distance from t); the lowest such id on ties, mesh.num_tiles() if no tile
+/// is allowed.  The placement step of greedy_mapping and of the ambient
+/// greedy repair (core/ambient.cpp).
+TileId cheapest_tile(const Mesh2D& mesh, const EnergyModel& energy,
+                     const std::vector<PlacementPin>& pins,
+                     const std::vector<bool>& allowed);
+
 /// SA move kinds (DESIGN.md §5g).  Every kind decomposes into a sequence of
 /// tile-content swaps derived from the pre-move placement, so one undo
 /// mechanism (unwind the swaps in reverse) reverts any of them bitwise.
@@ -209,10 +225,7 @@ class SwapEvaluator {
   double penalty_;
 
   XyRouteTable routes_;
-  // Incident-occurrence CSR: for each core, the edges touching it, encoded
-  // as edge_index * 2 + (1 if the core is the edge's src endpoint).
-  std::vector<std::uint32_t> inc_offsets_;
-  std::vector<std::uint32_t> inc_edges_;
+  IncidenceIndex inc_;  // each core's incident edges, in edge order
 
   Mapping m_;
   std::vector<std::size_t> occupant_;  // tile -> core, kEmpty if free

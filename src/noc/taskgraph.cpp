@@ -1,5 +1,6 @@
 #include "noc/taskgraph.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "exec/error.hpp"
@@ -16,8 +17,15 @@ void AppGraph::add_edge(std::size_t src, std::size_t dst, double volume_bits,
   if (src >= nodes_.size() || dst >= nodes_.size() || src == dst) {
     throw holms::InvalidArgument("AppGraph::add_edge: bad endpoints");
   }
-  if (!(volume_bits > 0.0)) {
-    throw holms::InvalidArgument("AppGraph::add_edge: volume must be > 0");
+  if (!(volume_bits > 0.0) || !std::isfinite(volume_bits)) {
+    throw holms::InvalidArgument(
+        "AppGraph::add_edge: volume must be finite and > 0");
+  }
+  // 0 means "use the volume".  An infinite demand would make a link load
+  // inf, and the first move off that link would compute inf - inf = NaN.
+  if (!(bandwidth_bps >= 0.0) || !std::isfinite(bandwidth_bps)) {
+    throw holms::InvalidArgument(
+        "AppGraph::add_edge: bandwidth must be finite and >= 0");
   }
   edges_.push_back(AppEdge{src, dst, volume_bits, bandwidth_bps});
 }

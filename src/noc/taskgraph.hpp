@@ -12,6 +12,8 @@
 // surveillance pipeline — plus a random TGFF-style generator for sweeps.
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,9 @@ struct AppEdge {
 class AppGraph {
  public:
   std::size_t add_node(std::string name, double compute_cycles = 0.0);
+  /// Throws holms::InvalidArgument for an out-of-range endpoint or a
+  /// self-loop, a volume that is not finite and > 0, or a bandwidth that is
+  /// not finite and >= 0 (0 = the volume is the demand).
   void add_edge(std::size_t src, std::size_t dst, double volume_bits,
                 double bandwidth_bps = 0.0);
 
@@ -49,6 +54,40 @@ class AppGraph {
  private:
   std::vector<AppNode> nodes_;
   std::vector<AppEdge> edges_;
+};
+
+/// Per-node incident-edge lists in CSR form, for O(degree) walks where a
+/// scan of the whole edge list would pick out one node's edges.  Each entry
+/// is an occurrence edge_index * 2 + role (role 1 = the node is the edge's
+/// src, 0 = its dst); a node's occurrences follow edge declaration order
+/// (src role first on a self-loop), so accumulating over of(i) adds the
+/// same terms in the same order as that scan.  `edges` holds {src, dst}
+/// records (AppEdge, SchedDep) with endpoints below `nodes`.
+struct IncidenceIndex {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> occ;
+
+  template <class Edge>
+  IncidenceIndex(std::size_t nodes, const std::vector<Edge>& edges)
+      : offsets(nodes + 1, 0) {
+    for (const Edge& e : edges) {
+      ++offsets[e.src + 1];
+      ++offsets[e.dst + 1];
+    }
+    for (std::size_t i = 0; i < nodes; ++i) offsets[i + 1] += offsets[i];
+    occ.resize(offsets[nodes]);
+    std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+      occ[fill[edges[ei].src]++] = static_cast<std::uint32_t>(ei * 2 + 1);
+      occ[fill[edges[ei].dst]++] = static_cast<std::uint32_t>(ei * 2);
+    }
+  }
+  explicit IncidenceIndex(const AppGraph& g)
+      : IncidenceIndex(g.num_nodes(), g.edges()) {}
+
+  std::span<const std::uint32_t> of(std::size_t node) const {
+    return {occ.data() + offsets[node], occ.data() + offsets[node + 1]};
+  }
 };
 
 /// A 16-core multimedia system (MP3 audio enc/dec + H.26x-class video

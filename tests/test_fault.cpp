@@ -7,9 +7,12 @@
 // instead of wedging or silently lying.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/ambient.hpp"
@@ -575,6 +578,48 @@ TEST(DomainTree, StructureQueriesAreCanonical) {
   }
   // Fingerprint is a pure function of structure + mapping.
   EXPECT_EQ(tt.tree.fingerprint(), TileTree().tree.fingerprint());
+}
+
+TEST(DomainTree, TargetsUnderMatchesAncestorWalk) {
+  // Random trees whose domains attach to any earlier domain, so subtrees
+  // interleave in id order: targets_under and subtree_targets must agree
+  // with filtering every target through is_ancestor, in canonical order.
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    FailureDomainTree tree;
+    const auto domains = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    for (std::size_t d = 1; d < domains; ++d) {
+      tree.add_domain(static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(d) - 1)),
+                      "d" + std::to_string(d));
+    }
+    std::vector<std::pair<holms::fault::TargetRef, std::size_t>> mapped;
+    for (std::size_t id = 0; id < 120; ++id) {
+      const Target target = rng.bernoulli(0.5) ? Target::kTile : Target::kLink;
+      const auto domain = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(domains) - 1));
+      tree.map_target(target, 119 - id, domain);
+      mapped.push_back({{target, 119 - id}, domain});
+    }
+    for (std::size_t d = 0; d < domains; ++d) {
+      std::vector<holms::fault::TargetRef> want;
+      for (const auto& [ref, domain] : mapped) {
+        if (tree.is_ancestor(d, domain)) want.push_back(ref);
+      }
+      std::sort(want.begin(), want.end(),
+                [](const holms::fault::TargetRef& a,
+                   const holms::fault::TargetRef& b) {
+                  return std::tie(a.target, a.id) < std::tie(b.target, b.id);
+                });
+      const auto got = tree.targets_under(d);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " d " << d;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].target, want[i].target);
+        EXPECT_EQ(got[i].id, want[i].id);
+      }
+      EXPECT_EQ(tree.subtree_targets(d), want.size());
+    }
+  }
 }
 
 TEST(DomainTree, RejectsBadParentsAndDuplicateTargets) {

@@ -1,5 +1,6 @@
 // Equivalence suites for the hot-path kernels: the incremental SA move
-// evaluator (swap / 2-opt / cluster moves) vs full re-evaluation, the CSR
+// evaluator (swap / 2-opt / cluster moves) vs full re-evaluation, the list
+// scheduler's per-task dependency lists vs a full-scan oracle, the CSR
 // stationary solvers against pinned reference digests — bitwise identical
 // across thread counts — and the slab/small-buffer event pool plus its
 // cross-candidate EventPoolCache recycling.
@@ -7,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -22,12 +24,14 @@
 #include "markov/chain.hpp"
 #include "markov/sparse.hpp"
 #include "noc/mapping.hpp"
+#include "noc/scheduling.hpp"
 #include "noc/taskgraph.hpp"
 #include "noc/topology.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "support/chains.hpp"
 #include "support/sa_oracle.hpp"
+#include "support/sched_oracle.hpp"
 
 namespace {
 
@@ -339,8 +343,9 @@ TEST(SaMapping, PinnedDigestsOfLibraryAndFullEvalOracle) {
   // Reference digests from the library's incremental loop and its former
   // in-library full-evaluation loop, which the oracle reproduces: swap-only
   // and mixed moves with reheating, under a link capacity at 0.6x greedy's
-  // busiest link so the overload penalty is live.  The SA path's only
-  // exec::simd kernel is transfer_delta, whose lane order is fixed, so the
+  // busiest link so the overload penalty is live.  The SA path's exec::simd
+  // kernels are transfer_delta, whose lane order is fixed, and the
+  // busiest-link max, which is exact on the finite link loads, so the
   // digests hold under every HOLMS_SIMD / HOLMS_THREADS setting.
   sim::Rng grng(33);
   const noc::AppGraph rg20 = noc::random_graph(20, grng, 1e6);
@@ -382,6 +387,76 @@ TEST(SaMapping, PinnedDigestsOfLibraryAndFullEvalOracle) {
                   *pin.graph, mesh, em, r2, opts)),
               pin.oracle)
         << pin.side << "x" << pin.side << " mixed=" << pin.mixed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// List scheduling: per-task dependency lists vs the full-scan oracle.
+// ---------------------------------------------------------------------------
+
+void expect_same_schedule(const noc::ScheduleResult& lib,
+                          const noc::ScheduleResult& ref,
+                          const std::string& what) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(lib.placement.size(), ref.placement.size()) << what;
+  for (std::size_t i = 0; i < lib.placement.size(); ++i) {
+    const noc::TaskPlacement& a = lib.placement[i];
+    const noc::TaskPlacement& b = ref.placement[i];
+    EXPECT_EQ(bits(a.start), bits(b.start)) << what << " task " << i;
+    EXPECT_EQ(bits(a.finish), bits(b.finish)) << what << " task " << i;
+    EXPECT_EQ(a.dvs_level, b.dvs_level) << what << " task " << i;
+  }
+  EXPECT_EQ(bits(lib.makespan_s), bits(ref.makespan_s)) << what;
+  EXPECT_EQ(lib.deadline_met, ref.deadline_met) << what;
+  EXPECT_EQ(bits(lib.compute_energy_j), bits(ref.compute_energy_j)) << what;
+  EXPECT_EQ(bits(lib.comm_energy_j), bits(ref.comm_energy_j)) << what;
+  EXPECT_EQ(bits(lib.idle_energy_j), bits(ref.idle_energy_j)) << what;
+  EXPECT_EQ(bits(lib.total_energy_j), bits(ref.total_energy_j)) << what;
+}
+
+TEST(Scheduling, DependencyListsMatchFullScanOracle) {
+  // Seeded random_graph DAGs (edges only run forward, so each is a valid
+  // SchedProblem) on 2x2..5x5 meshes, so tasks share tiles.  About a quarter
+  // of the tasks take zero cycles: a zero-cycle task ties its successor's
+  // priority, the unstable sort may order the successor first, and the
+  // successor then waits for a second pass.  Deadlines below, at and above
+  // the EDF makespan drive both slack policies through their repair and
+  // descent loops.
+  sim::Rng rng(2024);
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(8, 60));
+    const noc::AppGraph g = noc::random_graph(n, rng, 4e5);
+    const auto side = static_cast<std::size_t>(rng.uniform_int(2, 5));
+    noc::SchedProblem p;
+    p.mesh = noc::Mesh2D(side, side);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool idle = rng.bernoulli(0.25);
+      p.tasks.push_back(
+          {"t" + std::to_string(i), idle ? 0.0 : g.node(i).compute_cycles});
+      p.tile_of.push_back(static_cast<noc::TileId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(side * side) - 1)));
+    }
+    for (const noc::AppEdge& e : g.edges()) {
+      p.deps.push_back({e.src, e.dst, e.volume_bits});
+    }
+    const double edf = test_support::schedule_edf_full_scan(p).makespan_s;
+    for (const double slack : {0.9, 1.0, 1.5, 3.0}) {
+      p.deadline_s = edf * slack;
+      const std::string what =
+          "trial " + std::to_string(trial) + " slack " + std::to_string(slack);
+      expect_same_schedule(noc::schedule_edf(p),
+                           test_support::schedule_edf_full_scan(p),
+                           what + " edf");
+      for (const noc::SlackPolicy policy :
+           {noc::SlackPolicy::kProportional,
+            noc::SlackPolicy::kGreedyLongest}) {
+        expect_same_schedule(
+            noc::schedule_energy_aware(p, policy),
+            test_support::schedule_energy_aware_full_scan(p, policy),
+            what + " eas policy " +
+                std::to_string(static_cast<int>(policy)));
+      }
+    }
   }
 }
 
@@ -1055,6 +1130,40 @@ TEST(Simd, TransferDeltaKernelBitwiseIdentical) {
         s.transfer_delta(vol.data(), oh.data(), nh.data(), n, 0.98, 1.74),
         v.transfer_delta(vol.data(), oh.data(), nh.data(), n, 0.98, 1.74))
         << "trial " << trial;
+  }
+}
+
+TEST(Simd, MaxKernelMatchesStdMaxElement) {
+  // Every compiled-in table (and the dispatched one) against
+  // std::max_element, bitwise, for n = 1..70: both block packs, the trailing
+  // 8-block and every tail length.  The maximum is planted at each index in
+  // turn — so in every lane and in the tail — alone and tied with a second
+  // index, over entries with many ties, all-negative ones included.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  sim::Rng rng(5);
+  for (const simd::Kernels* k :
+       {&simd::kernels_for(simd::Isa::kScalar),
+        &simd::kernels_for(simd::best_isa()), &simd::kernels()}) {
+    EXPECT_EQ(bits(k->max(nullptr, 0)), bits(-HUGE_VAL)) << k->name;
+    for (std::size_t n = 1; n <= 70; ++n) {
+      for (const double shift : {0.0, -10.0}) {  // mixed signs, all negative
+        std::vector<double> x(n);
+        for (double& e : x) {
+          e = shift + 0.5 * static_cast<double>(rng.uniform_int(-6, 6));
+        }
+        for (std::size_t at = 0; at < n; ++at) {
+          std::vector<double> y = x;
+          y[at] = shift + 3.5;
+          for (const bool tie : {false, true}) {
+            if (tie) y[(at * 7 + 3) % n] = shift + 3.5;
+            const double want = *std::max_element(y.begin(), y.end());
+            ASSERT_EQ(bits(k->max(y.data(), n)), bits(want))
+                << k->name << " n=" << n << " at=" << at << " tie=" << tie
+                << " shift=" << shift;
+          }
+        }
+      }
+    }
   }
 }
 

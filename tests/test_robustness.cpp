@@ -19,6 +19,7 @@
 #include "markov/jackson.hpp"
 #include "noc/router.hpp"
 #include "noc/scheduling.hpp"
+#include "noc/taskgraph.hpp"
 #include "sim/simulator.hpp"
 #include "stream/kpn.hpp"
 #include "stream/lipsync.hpp"
@@ -375,6 +376,64 @@ TEST(Robust, SchedulerSingleTask) {
   const auto r = holms::noc::schedule_edf(p);
   EXPECT_TRUE(r.deadline_met);
   EXPECT_TRUE(holms::noc::schedule_is_valid(p, r));
+}
+
+TEST(Robust, SchedulerRejectsOutOfRangeDependency) {
+  // A dependency naming a task past the end would index the per-task
+  // arrays out of range (undefined behaviour): validation must reject it.
+  holms::noc::SchedProblem base;
+  base.mesh = holms::noc::Mesh2D(2, 2);
+  base.tasks = {{"a", 1e6}, {"b", 1e6}};
+  base.tile_of = {0, 1};
+  base.deadline_s = 1.0;
+  for (const holms::noc::SchedDep bad :
+       {holms::noc::SchedDep{0, 2, 1e3}, holms::noc::SchedDep{2, 1, 1e3},
+        holms::noc::SchedDep{0, std::size_t{1} << 40, 1e3}}) {
+    SCOPED_TRACE(std::to_string(bad.src) + " -> " + std::to_string(bad.dst));
+    holms::noc::SchedProblem p = base;
+    p.deps = {{0, 1, 1e3}, bad};
+    EXPECT_THROW(holms::noc::schedule_edf(p), holms::InvalidArgument);
+    for (const auto policy : {holms::noc::SlackPolicy::kProportional,
+                              holms::noc::SlackPolicy::kGreedyLongest}) {
+      EXPECT_THROW(holms::noc::schedule_energy_aware(p, policy),
+                   holms::InvalidArgument);
+    }
+  }
+  base.deps = {{0, 1, 1e3}};
+  const holms::noc::ScheduleResult ok = holms::noc::schedule_edf(base);
+  EXPECT_TRUE(holms::noc::schedule_is_valid(base, ok));
+  base.deps.push_back({1, 2, 1e3});  // the checker must not read past the end
+  EXPECT_FALSE(holms::noc::schedule_is_valid(base, ok));
+}
+
+TEST(Robust, AppGraphRejectsNonFiniteVolumeAndBandwidth) {
+  // Link loads sum edge bandwidths (or volumes): an infinite one makes a
+  // load inf and the first move off that link inf - inf = NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(holms::noc::AppGraph&,
+                                                    double)>>
+      fields{
+          {"volume_bits",
+           [](holms::noc::AppGraph& g, double x) { g.add_edge(0, 1, x); }},
+          {"bandwidth_bps",
+           [](holms::noc::AppGraph& g, double x) { g.add_edge(0, 1, 1e3, x); }},
+      };
+  holms::noc::AppGraph g;
+  g.add_node("a");
+  g.add_node("b");
+  for (const auto& [name, add] : fields) {
+    for (const double bad : {nan, inf, -inf, -1.0}) {
+      SCOPED_TRACE(std::string(name) + " = " + std::to_string(bad));
+      EXPECT_THROW(add(g, bad), holms::InvalidArgument);
+    }
+  }
+  EXPECT_TRUE(g.edges().empty());
+  // A zero volume carries nothing; a zero bandwidth means "use the volume".
+  EXPECT_THROW(g.add_edge(0, 1, 0.0), holms::InvalidArgument);
+  EXPECT_NO_THROW(g.add_edge(0, 1, 1e3, 0.0));
+  EXPECT_NO_THROW(g.add_edge(0, 1, 1e3, 2e6));
+  EXPECT_EQ(g.edges().size(), 2u);
 }
 
 // ---------- wireless / streaming ----------
