@@ -3,8 +3,8 @@
 // synthesis, flit routing, ISS execution, mapping evaluation.
 //
 // Custom main(): besides the google-benchmark tables, a set of hand-timed
-// headline rates (SA moves/s full vs incremental, stationary solve wall
-// time, simulator events/s, fault-tolerant NoC replay cycles/s,
+// headline rates (SA moves/s full vs incremental, stationary and direct
+// solve wall time, simulator events/s, fault-tolerant NoC replay cycles/s,
 // scalar-vs-SIMD kernel speedups, farm scheduling and capped-SA rates) is
 // written into
 // BENCH_micro.json — the CI perf-smoke job gates those numbers against
@@ -271,6 +271,22 @@ double stationary_seconds(std::size_t n) {
   auto r = d.steady_state();
   benchmark::DoNotOptimize(r.distribution.data());
   return seconds_since(t0);
+}
+
+// Exact steady state of a 64x64-level tandem (n = 4096, band 128 wide)
+// through the banded GTH elimination, best of 3.
+double direct_solve_seconds() {
+  const auto q = holms::test_support::tandem_chain(64, 1.0, 1.12, 1.17);
+  holms::markov::SolveOptions opts;
+  opts.method = holms::markov::SteadyStateMethod::kDirect;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = q.steady_state(opts);
+    best = std::min(best, seconds_since(t0));
+    benchmark::DoNotOptimize(r.distribution.data());
+  }
+  return best;
 }
 
 double sim_events_per_s() {
@@ -624,6 +640,10 @@ void headline_metrics(holms::bench::BenchReport& report) {
   const double sparse = stationary_seconds(512);
   report.set("stationary_sparse_s_n512", sparse);
   std::printf("-- stationary n=512 (CSR): %.3gs\n", sparse);
+
+  const double direct = direct_solve_seconds();
+  report.set("direct_solve_s_n4096", direct);
+  std::printf("-- direct (GTH) tandem n=4096: %.3gs\n", direct);
 
   const double events = sim_events_per_s();
   report.set("sim_events_per_s", events);

@@ -92,7 +92,7 @@ int main() {
     m.consumer_rate = c.cons;
     m.buffer_capacity = c.cap;
     holms::markov::SolveOptions opts;
-    opts.method = holms::markov::SteadyStateMethod::kDirectLU;
+    opts.method = holms::markov::SteadyStateMethod::kDirect;
     const auto a = m.analyze(opts);
     const double ana_ms = ms_since(t0);
     char label[64];
@@ -118,7 +118,7 @@ int main() {
     SM m;
   } methods[] = {{"power-iteration", SM::kPowerIteration},
                  {"gauss-seidel", SM::kGaussSeidel},
-                 {"direct-LU", SM::kDirectLU}};
+                 {"direct-GTH", SM::kDirect}};
   for (const auto& meth : methods) {
     holms::markov::SolveOptions o;
     o.method = meth.m;

@@ -19,55 +19,6 @@ void normalize(std::vector<double>& v) {
   for (double& x : v) x /= sum;
 }
 
-// Solves pi * A = 0 with sum(pi) = 1 by replacing the last column with the
-// normalization constraint and doing Gaussian elimination with partial
-// pivoting on the transposed system A^T x = e_n.
-std::vector<double> solve_direct(const Matrix& a) {
-  const std::size_t n = a.rows();
-  // Build M = A^T with last row replaced by ones; rhs = e_{n-1}.
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) m.at(i, j) = a.at(j, i);
-  for (std::size_t j = 0; j < n; ++j) m.at(n - 1, j) = 1.0;
-  std::vector<double> rhs(n, 0.0);
-  rhs[n - 1] = 1.0;
-
-  // Gaussian elimination with partial pivoting.
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    double best = std::abs(m.at(perm[col], col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::abs(m.at(perm[r], col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) throw holms::RuntimeError("singular chain matrix");
-    std::swap(perm[col], perm[pivot]);
-    const double diag = m.at(perm[col], col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = m.at(perm[r], col) / diag;
-      if (factor == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c)
-        m.at(perm[r], c) -= factor * m.at(perm[col], c);
-      rhs[perm[r]] -= factor * rhs[perm[col]];
-    }
-  }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = rhs[perm[i]];
-    for (std::size_t c = i + 1; c < n; ++c) acc -= m.at(perm[i], c) * x[c];
-    x[i] = acc / m.at(perm[i], i);
-  }
-  // Clamp tiny negatives from roundoff.
-  for (double& v : x) v = std::max(v, 0.0);
-  normalize(x);
-  return x;
-}
-
 // Every chain accessor funnels through here: an index past the state space
 // is a caller bug, reported as a typed exception in every build type.
 void check_states(std::size_t from, std::size_t to, std::size_t n,
@@ -104,13 +55,10 @@ double lookup(const SparseRow& row, std::size_t col) {
   return it != row.end() && it->col == col ? it->value : 0.0;
 }
 
-// Dense copy for the direct LU solve.
-Matrix densify(const std::vector<SparseRow>& rows) {
-  Matrix a(rows.size(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (const RowEntry& e : rows[r]) a.at(r, e.col) = e.value;
-  }
-  return a;
+// The direct steady state of a chain's sparse rows (a Dtmc's diagonal is
+// ignored: pi (P - I) = 0 reads only the off-diagonal entries).
+SolveResult solve_exact(std::span<const SparseRow> rows) {
+  return SolveResult{GthFactors(rows, {}).stationary(), 0, true};
 }
 
 }  // namespace
@@ -126,6 +74,11 @@ void Dtmc::set(std::size_t from, std::size_t to, double prob) {
 double Dtmc::get(std::size_t from, std::size_t to) const {
   check_states(from, to, size(), "Dtmc::get");
   return lookup(rows_[from], to);
+}
+
+std::span<const RowEntry> Dtmc::row(std::size_t from) const {
+  check_states(from, from, size(), "Dtmc::row");
+  return rows_[from];
 }
 
 bool Dtmc::is_stochastic(double tol) const {
@@ -146,15 +99,7 @@ SolveResult Dtmc::steady_state(const SolveOptions& opts) const {
   const std::size_t n = size();
   if (n == 0) return {};
 
-  if (opts.method == SteadyStateMethod::kDirectLU) {
-    // pi (P - I) = 0.
-    Matrix a = densify(rows_);
-    for (std::size_t r = 0; r < n; ++r) a.at(r, r) -= 1.0;
-    SolveResult res;
-    res.distribution = solve_direct(a);
-    res.converged = true;
-    return res;
-  }
+  if (opts.method == SteadyStateMethod::kDirect) return solve_exact(rows_);
   const CsrMatrix p(n, rows_);
   return opts.method == SteadyStateMethod::kPowerIteration
              ? sparse_power_iteration(p, opts)
@@ -231,14 +176,8 @@ Dtmc Ctmc::uniformized(double* lambda_out) const {
 
 SolveResult Ctmc::steady_state(const SolveOptions& opts) const {
   opts.validate();
-  if (opts.method == SteadyStateMethod::kDirectLU) {
-    Matrix a = densify(rows_);
-    for (std::size_t r = 0; r < size(); ++r) a.at(r, r) = -exit_rate(r);
-    SolveResult res;
-    res.distribution = solve_direct(a);
-    res.converged = true;
-    return res;
-  }
+  if (size() == 0) return {};
+  if (opts.method == SteadyStateMethod::kDirect) return solve_exact(rows_);
   // Iterative methods work on the uniformized DTMC, which shares the CTMC's
   // stationary distribution.
   return uniformized().steady_state(opts);
@@ -280,72 +219,120 @@ double expected_reward(std::span<const double> pi,
   return acc;
 }
 
-namespace {
-
-// PA = LU factorization with partial pivoting, factored once and applied to
-// many right-hand sides.  absorbing_analysis solves the same (I - Q) system
-// for 1 + |absorbing| RHS vectors; eliminating per call was O(k * t^3).  The
-// multipliers are stored in the eliminated below-diagonal slots, and solve()
-// replays exactly the operation sequence the old fused elimination applied to
-// b — results are bitwise identical to the pre-factorization code.
-class LuFactors {
- public:
-  explicit LuFactors(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
-    const std::size_t n = lu_.rows();
-    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-    for (std::size_t col = 0; col < n; ++col) {
-      std::size_t pivot = col;
-      double best = std::abs(lu_.at(perm_[col], col));
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double v = std::abs(lu_.at(perm_[r], col));
-        if (v > best) {
-          best = v;
-          pivot = r;
-        }
-      }
-      if (best < 1e-300) {
-        throw holms::RuntimeError("absorbing_analysis: singular system "
-                                 "(absorption unreachable from some state)");
-      }
-      std::swap(perm_[col], perm_[pivot]);
-      const double diag = lu_.at(perm_[col], col);
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double factor = lu_.at(perm_[r], col) / diag;
-        lu_.at(perm_[r], col) = factor;  // L multiplier in the zeroed slot
-        if (factor == 0.0) continue;
-        for (std::size_t c = col + 1; c < n; ++c) {
-          lu_.at(perm_[r], c) -= factor * lu_.at(perm_[col], c);
-        }
-      }
+GthFactors::GthFactors(std::span<const SparseRow> rows,
+                       std::vector<double> exit)
+    : pivot_(std::move(exit)) {
+  const std::size_t n = rows.size();
+  if (pivot_.empty()) pivot_.assign(n, 0.0);
+  bool valid = pivot_.size() == n;
+  for (std::size_t i = 0; valid && i < n; ++i) {
+    valid = pivot_[i] >= 0.0;
+    for (const RowEntry& e : rows[i]) {
+      valid = valid && e.col < n && e.value >= 0.0;
+      if (e.value > 0.0 && e.col < i) lower_ = std::max(lower_, i - e.col);
+      if (e.value > 0.0 && e.col > i) upper_ = std::max(upper_, e.col - i);
     }
   }
-
-  std::vector<double> solve(std::vector<double> b) const {
-    const std::size_t n = lu_.rows();
-    // Forward: replay the eliminations on b.
-    for (std::size_t col = 0; col < n; ++col) {
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double factor = lu_.at(perm_[r], col);
-        if (factor == 0.0) continue;
-        b[perm_[r]] -= factor * b[perm_[col]];
-      }
-    }
-    // Back-substitution against U.
-    std::vector<double> x(n, 0.0);
-    for (std::size_t i = n; i-- > 0;) {
-      double acc = b[perm_[i]];
-      for (std::size_t c = i + 1; c < n; ++c) acc -= lu_.at(perm_[i], c) * x[c];
-      x[i] = acc / lu_.at(perm_[i], i);
-    }
-    return x;
+  if (!valid) {
+    throw holms::InvalidArgument(
+        "GthFactors: need entries >= 0 in columns < n and n exit masses >= 0");
   }
+  band_.assign(n * (lower_ + upper_ + 1), 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const RowEntry& e : rows[i]) {
+      if (e.value > 0.0) at(i, e.col) = e.value;
+    }
+  }
+  // Censor states out from the last one down; pivot_[k] holds k's exit mass
+  // until k goes.  Row k's band below the diagonal is columns
+  // [first_col(k), k), and so is the slice of each row i < k it updates.
+  for (std::size_t k = n; k-- > 0;) {
+    const std::size_t jlo = first_col(k);
+    const double* row_k = &at(k, jlo);
+    const double exit_k = pivot_[k];
+    double s = exit_k;
+    // HOLMS_LINT_ALLOW(D006): GTH pivot, a scalar sum over at most lower_ band entries in ascending column order; direct solves only
+    for (std::size_t j = 0; j < k - jlo; ++j) s += row_k[j];
+    pivot_[k] = s;
+    if (s == 0.0) {
+      // k is the lowest state of a closed class: what flows into it leaves
+      // the states below for good.
+      zero_pivots_.push_back(k);
+      for (std::size_t i = first_row(k); i < k; ++i) pivot_[i] += at(i, k);
+      continue;
+    }
+    for (std::size_t i = first_row(k); i < k; ++i) {
+      const double f = at(i, k) / s;
+      if (f == 0.0) continue;
+      pivot_[i] += f * exit_k;
+      double* row_i = &at(i, jlo);
+      for (std::size_t j = 0; j < k - jlo; ++j) row_i[j] += f * row_k[j];
+    }
+  }
+}
 
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-};
+void GthFactors::substitute_left(std::vector<double>& x,
+                                 std::size_t root) const {
+  for (std::size_t k = 0; k < size(); ++k) {
+    double inflow = x[k];
+    // HOLMS_LINT_ALLOW(D006): GTH back-substitution, a scalar sum over at most upper_ band entries in ascending state order; direct solves only
+    for (std::size_t i = first_row(k); i < k; ++i) inflow += x[i] * at(i, k);
+    if (pivot_[k] == 0.0 && k != root && inflow != 0.0) {
+      throw holms::RuntimeError(
+          "GthFactors: flow reaches a closed class that has no exit");
+    }
+    x[k] = pivot_[k] > 0.0 ? inflow / pivot_[k] : k == root ? 1.0 : 0.0;
+  }
+}
 
-}  // namespace
+std::vector<double> GthFactors::stationary() const {
+  if (zero_pivots_.size() != 1) {
+    throw holms::RuntimeError(
+        "singular chain matrix: " + std::to_string(zero_pivots_.size()) +
+        " closed classes, so no unique stationary distribution");
+  }
+  std::vector<double> pi(size(), 0.0);
+  substitute_left(pi, zero_pivots_[0]);
+  normalize(pi);
+  return pi;
+}
+
+std::vector<double> GthFactors::solve_left(std::vector<double> b) const {
+  if (b.size() != size()) {
+    throw holms::InvalidArgument("GthFactors::solve_left: size mismatch");
+  }
+  // Forward: each censored state hands its share of b to the states below.
+  for (std::size_t k = size(); k-- > 0;) {
+    if (pivot_[k] == 0.0 || b[k] == 0.0) continue;
+    const double f = b[k] / pivot_[k];
+    for (std::size_t j = first_col(k); j < k; ++j) b[j] += f * at(k, j);
+  }
+  substitute_left(b, size());
+  return b;
+}
+
+std::vector<double> GthFactors::solve_right(std::vector<double> c) const {
+  if (c.size() != size()) {
+    throw holms::InvalidArgument("GthFactors::solve_right: size mismatch");
+  }
+  if (!zero_pivots_.empty()) {
+    throw holms::RuntimeError(
+        "GthFactors::solve_right: singular system (a closed class has no "
+        "exit, e.g. absorption unreachable from some state)");
+  }
+  for (std::size_t k = size(); k-- > 0;) {
+    if (c[k] == 0.0) continue;
+    const double f = c[k] / pivot_[k];
+    for (std::size_t i = first_row(k); i < k; ++i) c[i] += at(i, k) * f;
+  }
+  for (std::size_t k = 0; k < size(); ++k) {
+    double acc = c[k];
+    // HOLMS_LINT_ALLOW(D006): GTH back-substitution, a scalar sum over at most lower_ band entries in ascending state order; absorbing analysis only
+    for (std::size_t j = first_col(k); j < k; ++j) acc += at(k, j) * c[j];
+    c[k] = acc / pivot_[k];
+  }
+  return c;
+}
 
 AbsorbingResult absorbing_analysis(const Dtmc& chain,
                                    const std::vector<bool>& absorbing) {
@@ -355,8 +342,11 @@ AbsorbingResult absorbing_analysis(const Dtmc& chain,
   }
   AbsorbingResult res;
   std::vector<std::size_t> transient;
+  std::vector<std::size_t> index(n);  // position among transient or absorbing
   for (std::size_t i = 0; i < n; ++i) {
-    (absorbing[i] ? res.absorbing_states : transient).push_back(i);
+    auto& group = absorbing[i] ? res.absorbing_states : transient;
+    index[i] = group.size();
+    group.push_back(i);
   }
   if (res.absorbing_states.empty()) {
     throw holms::InvalidArgument("absorbing_analysis: no absorbing state");
@@ -364,37 +354,38 @@ AbsorbingResult absorbing_analysis(const Dtmc& chain,
   const std::size_t t = transient.size();
   const std::size_t a = res.absorbing_states.size();
   res.expected_steps.assign(n, 0.0);
-  res.absorption_probability = Matrix(n, a);
+  res.absorption_probability.assign(n, std::vector<double>(a, 0.0));
   for (std::size_t k = 0; k < a; ++k) {
-    res.absorption_probability.at(res.absorbing_states[k], k) = 1.0;
+    res.absorption_probability[res.absorbing_states[k]][k] = 1.0;
   }
   if (t == 0) return res;
 
-  // (I - Q) over the transient states.
-  Matrix iq(t, t);
-  for (std::size_t r = 0; r < t; ++r) {
-    for (std::size_t c = 0; c < t; ++c) {
-      iq.at(r, c) = (r == c ? 1.0 : 0.0) -
-                    chain.get(transient[r], transient[c]);
+  // The transient block Q in chain order; R's columns (mass into each
+  // absorbing state) are the right-hand sides, and their sum is the exit.
+  std::vector<SparseRow> q(t);
+  std::vector<double> exit(t, 0.0);
+  std::vector<std::vector<double>> r(a, std::vector<double>(t, 0.0));
+  for (std::size_t s = 0; s < t; ++s) {
+    for (const RowEntry& e : chain.row(transient[s])) {
+      if (absorbing[e.col]) {
+        r[index[e.col]][s] = e.value;
+        exit[s] += e.value;
+      } else {
+        q[s].push_back(RowEntry{index[e.col], e.value});
+      }
     }
   }
-  // One factorization serves the expected-steps system and every absorption
-  // column (1 + a right-hand sides).
-  const LuFactors lu(std::move(iq));
-  // Expected steps: (I - Q) tvec = 1.
-  const std::vector<double> steps = lu.solve(std::vector<double>(t, 1.0));
-  for (std::size_t r = 0; r < t; ++r) {
-    res.expected_steps[transient[r]] = steps[r];
+  // One factorization of (I - Q) serves the expected-steps system and every
+  // absorption column; it throws when some state cannot reach absorption.
+  const GthFactors f(q, std::move(exit));
+  const std::vector<double> steps = f.solve_right(std::vector<double>(t, 1.0));
+  for (std::size_t s = 0; s < t; ++s) {
+    res.expected_steps[transient[s]] = steps[s];
   }
-  // Absorption probabilities: (I - Q) B_col = R_col for each absorbing k.
   for (std::size_t k = 0; k < a; ++k) {
-    std::vector<double> rhs(t, 0.0);
-    for (std::size_t r = 0; r < t; ++r) {
-      rhs[r] = chain.get(transient[r], res.absorbing_states[k]);
-    }
-    const std::vector<double> col = lu.solve(std::move(rhs));
-    for (std::size_t r = 0; r < t; ++r) {
-      res.absorption_probability.at(transient[r], k) = col[r];
+    const std::vector<double> col = f.solve_right(std::move(r[k]));
+    for (std::size_t s = 0; s < t; ++s) {
+      res.absorption_probability[transient[s]][k] = col[s];
     }
   }
   return res;

@@ -10,18 +10,21 @@
 // ablated (DESIGN.md §6):
 //   - power iteration       robust, O(iters * nnz)
 //   - Gauss–Seidel          faster convergence on diagonally dominant systems
-//   - direct LU             exact (up to fp), O(n^3), small chains
+//   - direct                exact banded GTH elimination, O(n * w^2) for a
+//                           chain whose transitions span w states of its order
 //
 // Chains store their transitions as sparse rows (column-sorted entries), so
 // building and stepping a chain costs O(nnz), not O(n^2): queueing chains
 // touch a handful of neighbours per state.  The iterative solvers run the
-// CSR kernels of markov/sparse.hpp; only the direct LU solve and
-// absorbing_analysis densify, on demand.
+// CSR kernels of markov/sparse.hpp; the direct solve, absorbing_analysis and
+// the Jackson traffic equations share one GthFactors elimination over the
+// band the chain's own state order gives.
 //
 // Once the stationary distribution is known, "different performance measures
 // such as throughput, response time, power consumption, etc. can be easily
 // derived" — see `expected_reward`.
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -30,25 +33,6 @@
 #include "exec/error.hpp"
 
 namespace holms::markov {
-
-/// Dense row-major matrix for the direct LU solve, absorbing analysis and
-/// Jackson routing (state spaces there are 10^2..10^3).
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  double& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-  double at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
 
 /// One stored transition of a chain row.
 struct RowEntry {
@@ -59,7 +43,7 @@ struct RowEntry {
 /// A sparse chain row: entries in strictly increasing column order.
 using SparseRow = std::vector<RowEntry>;
 
-enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU };
+enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirect };
 
 struct SolveOptions {
   SteadyStateMethod method = SteadyStateMethod::kPowerIteration;
@@ -92,7 +76,7 @@ struct SolveOptions {
 
 struct SolveResult {
   std::vector<double> distribution;  // stationary probabilities, sums to 1
-  std::size_t iterations = 0;        // 0 for direct methods
+  std::size_t iterations = 0;        // 0 for the direct method
   bool converged = false;
 };
 
@@ -108,6 +92,9 @@ class Dtmc {
   void set(std::size_t from, std::size_t to, double prob);
   /// P[from][to] (0 when never set); throws holms::OutOfRange like set().
   double get(std::size_t from, std::size_t to) const;
+  /// The stored entries of row `from`, column-sorted; throws
+  /// holms::OutOfRange like set().
+  std::span<const RowEntry> row(std::size_t from) const;
 
   /// Validates that every row sums to 1 within `tol`.
   bool is_stochastic(double tol = 1e-9) const;
@@ -156,6 +143,60 @@ class Ctmc {
   std::vector<SparseRow> rows_;  // off-diagonal rates only
 };
 
+/// Banded GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 1985): the
+/// one exact solver behind the direct steady state, absorbing_analysis and
+/// the Jackson traffic equations.  It factors M = D - A, where A holds a
+/// chain's nonnegative off-diagonal entries and each pivot in D is a state's
+/// remaining off-diagonal mass plus its exit mass, so no step subtracts and
+/// a zero pivot is exact.  States are censored out from the last one down
+/// inside the band the chain's own state order gives (no reordering; a full
+/// band is dense GTH): O(n * lower * upper) time, O(n * (lower + upper))
+/// memory.  A zero pivot marks the lowest state of a closed class; its column
+/// folds into the exit mass of the states below it.
+class GthFactors {
+ public:
+  /// Factors the column-sorted `rows` over states 0..rows.size()-1; diagonal
+  /// and zero entries are ignored.  `exit` is empty (no exit) or holds one
+  /// mass per state.  Throws holms::InvalidArgument for a negative entry or
+  /// exit mass, a column past the last state, or an `exit` of another size.
+  GthFactors(std::span<const SparseRow> rows, std::vector<double> exit);
+
+  std::size_t size() const { return pivot_.size(); }
+
+  /// pi M = 0 with sum(pi) = 1, zero on the transient states.  Throws
+  /// holms::RuntimeError unless there is exactly one closed class.
+  std::vector<double> stationary() const;
+  /// Left solve x M = b for b >= 0.  A zero-pivot state that no flow reaches
+  /// gets x = 0; flow into one throws holms::RuntimeError.
+  std::vector<double> solve_left(std::vector<double> b) const;
+  /// Right solve M y = c.  Throws holms::RuntimeError when M is singular
+  /// (some closed class has no exit).
+  std::vector<double> solve_right(std::vector<double> c) const;
+
+ private:
+  // Entry (i, j) of the band, i - lower_ <= j <= i + upper_: row i is
+  // lower_ + upper_ + 1 slots wide, and its diagonal slot is never read.
+  double& at(std::size_t i, std::size_t j) {
+    return band_[i * (lower_ + upper_) + lower_ + j];
+  }
+  double at(std::size_t i, std::size_t j) const {
+    return band_[i * (lower_ + upper_) + lower_ + j];
+  }
+  // The first column of row k's band, and the first row of column k's.
+  std::size_t first_col(std::size_t k) const { return k - std::min(k, lower_); }
+  std::size_t first_row(std::size_t k) const { return k - std::min(k, upper_); }
+  // The back phase of x M = b; x holds the forward-reduced b on entry.  The
+  // zero pivot `root` takes x = 1 (the stationary solve); any other takes 0
+  // if nothing flows into it.
+  void substitute_left(std::vector<double>& x, std::size_t root) const;
+
+  std::size_t lower_ = 0;  // widest reach below the diagonal
+  std::size_t upper_ = 0;  // widest reach above it
+  std::vector<double> band_;
+  std::vector<double> pivot_;
+  std::vector<std::size_t> zero_pivots_;  // one per closed class, highest first
+};
+
 /// Expected reward sum_i pi_i * reward(i): the paper's bridge from the
 /// stationary distribution to throughput / response time / power.
 double expected_reward(std::span<const double> pi,
@@ -169,15 +210,17 @@ struct AbsorbingResult {
   /// Expected number of steps to absorption from each state (0 for
   /// absorbing states themselves).
   std::vector<double> expected_steps;
-  /// absorption_probability.at(s, k): probability that, starting from s,
-  /// the chain is absorbed in absorbing_states[k].
-  Matrix absorption_probability;
+  /// absorption_probability[s][k]: probability that, starting from s, the
+  /// chain is absorbed in absorbing_states[k].
+  std::vector<std::vector<double>> absorption_probability;
   std::vector<std::size_t> absorbing_states;
 };
 
 /// `absorbing[i]` marks state i as absorbing (its rows in P are ignored and
-/// treated as self-loops).  Throws if no state is absorbing or if some
-/// transient state cannot reach absorption.
+/// treated as self-loops).  One GthFactors over the transient block, with
+/// each state's mass into absorbing states as its exit, serves every solve;
+/// transient rows are taken as stochastic.  Throws if no state is absorbing
+/// or if some transient state cannot reach absorption.
 AbsorbingResult absorbing_analysis(const Dtmc& chain,
                                    const std::vector<bool>& absorbing);
 

@@ -1,15 +1,15 @@
 #include "markov/jackson.hpp"
 
-#include <cmath>
-#include <stdexcept>
+#include <algorithm>
 
 #include "exec/error.hpp"
+#include "markov/chain.hpp"
 
 namespace holms::markov {
 
 JacksonNetwork::JacksonNetwork(std::vector<JacksonStation> stations)
     : stations_(std::move(stations)),
-      routing_(stations_.size(), stations_.size()) {
+      routing_(stations_.size() * stations_.size(), 0.0) {
   if (stations_.empty()) {
     throw holms::InvalidArgument("JacksonNetwork: need >= 1 station");
   }
@@ -25,53 +25,37 @@ void JacksonNetwork::set_routing(std::size_t from, std::size_t to,
   if (from >= size() || to >= size() || !(prob >= 0.0 && prob <= 1.0)) {
     throw holms::InvalidArgument("JacksonNetwork::set_routing: bad args");
   }
-  routing_.at(from, to) = prob;
+  routing_[from * size() + to] = prob;
 }
 
 double JacksonNetwork::routing(std::size_t from, std::size_t to) const {
-  return routing_.at(from, to);
+  return routing_[from * size() + to];
 }
 
 JacksonSolution JacksonNetwork::solve() const {
   const std::size_t n = size();
+  // Traffic equations lambda (I - R) = lambda0: R's off-diagonal entries
+  // are the chain, and the probability of leaving the network is the exit.
+  std::vector<SparseRow> rows(n);
+  std::vector<double> leave(n);
+  std::vector<double> lambda0(n);
   for (std::size_t i = 0; i < n; ++i) {
     double row = 0.0;
-    for (std::size_t j = 0; j < n; ++j) row += routing_.at(i, j);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double r = routing_[i * n + j];
+      row += r;
+      if (j != i && r > 0.0) rows[i].push_back(RowEntry{j, r});
+    }
     if (row > 1.0 + 1e-12) {
       throw holms::InvalidArgument(
           "JacksonNetwork: routing row exceeds probability 1");
     }
+    leave[i] = std::max(0.0, 1.0 - row);
+    lambda0[i] = stations_[i].external_arrivals;
   }
-
-  // Traffic equations: lambda (I - R^T) = lambda0  (solved by fixed-point
-  // iteration; the spectral radius of a substochastic R is < 1 whenever
-  // every job eventually leaves, so this converges geometrically).
   JacksonSolution sol;
-  std::vector<double> lambda(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lambda[i] = stations_[i].external_arrivals;
-  }
-  std::vector<double> next(n, 0.0);
-  double delta = 1.0;
-  for (int iter = 0; iter < 100000 && delta > 1e-14; ++iter) {
-    for (std::size_t j = 0; j < n; ++j) {
-      next[j] = stations_[j].external_arrivals;
-      for (std::size_t i = 0; i < n; ++i) {
-        next[j] += lambda[i] * routing_.at(i, j);
-      }
-    }
-    delta = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      // HOLMS_LINT_ALLOW(D006): L1 convergence check over a handful of stations in index order
-      delta += std::abs(next[j] - lambda[j]);
-    }
-    lambda.swap(next);
-    if (iter == 99999) {
-      throw holms::RuntimeError(
-          "JacksonNetwork: traffic equations did not converge "
-          "(jobs trapped in a closed cycle?)");
-    }
-  }
+  const std::vector<double> lambda =
+      GthFactors(rows, std::move(leave)).solve_left(std::move(lambda0));
   sol.effective_arrival_rate = lambda;
 
   double external = 0.0;

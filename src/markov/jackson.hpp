@@ -48,14 +48,16 @@ class JacksonNetwork {
   void set_routing(std::size_t from, std::size_t to, double prob);
   double routing(std::size_t from, std::size_t to) const;
 
-  /// Solves the traffic equations lambda = lambda0 + lambda * R and the
-  /// per-station product-form metrics.  Throws on invalid routing (row sums
-  /// above 1) or a singular system (jobs trapped forever).
+  /// Solves the traffic equations lambda (I - R) = lambda0 exactly (one
+  /// GthFactors left solve, each station's leave probability as its exit)
+  /// and the per-station product-form metrics.  A station no flow reaches
+  /// gets lambda = 0.  Throws on invalid routing (row sums above 1) or flow
+  /// into a closed cycle (jobs trapped forever).
   JacksonSolution solve() const;
 
  private:
   std::vector<JacksonStation> stations_;
-  Matrix routing_;
+  std::vector<double> routing_;  // row-major size() x size()
 };
 
 /// Convenience: a tandem line of stations (stream pipeline), jobs enter at

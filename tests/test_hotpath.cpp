@@ -559,8 +559,8 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
 }
 
 TEST(SparseSolve, IterativeSolvesMatchDirectLU) {
-  markov::SolveOptions lu;
-  lu.method = markov::SteadyStateMethod::kDirectLU;
+  markov::SolveOptions direct;
+  direct.method = markov::SteadyStateMethod::kDirect;
   // Tridiagonal CTMC, solved through its uniformized DTMC.
   const std::size_t n = 96;
   markov::Ctmc q(n);
@@ -570,7 +570,7 @@ TEST(SparseSolve, IterativeSolvesMatchDirectLU) {
   }
   const auto r = q.steady_state({});
   ASSERT_TRUE(r.converged);
-  const auto exact = q.steady_state(lu);
+  const auto exact = q.steady_state(direct);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(r.distribution[i], exact.distribution[i], 1e-8);
   }
@@ -581,7 +581,7 @@ TEST(SparseSolve, IterativeSolvesMatchDirectLU) {
       dense.set(row, c, 1.0 / static_cast<double>(n));
   const auto rd = dense.steady_state({});
   ASSERT_TRUE(rd.converged);
-  const auto dense_exact = dense.steady_state(lu);
+  const auto dense_exact = dense.steady_state(direct);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(rd.distribution[i], 1.0 / static_cast<double>(n), 1e-12);
     EXPECT_NEAR(rd.distribution[i], dense_exact.distribution[i], 1e-12);

@@ -2,10 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "exec/error.hpp"
 #include "markov/chain.hpp"
 #include "markov/jackson.hpp"
 #include "markov/queueing.hpp"
+#include "sim/random.hpp"
+#include "support/chains.hpp"
+#include "support/dense_lu.hpp"
 
 namespace {
 
@@ -63,7 +71,7 @@ TEST_P(DtmcSolvers, DistributionSumsToOne) {
 INSTANTIATE_TEST_SUITE_P(AllMethods, DtmcSolvers,
                          ::testing::Values(SteadyStateMethod::kPowerIteration,
                                            SteadyStateMethod::kGaussSeidel,
-                                           SteadyStateMethod::kDirectLU));
+                                           SteadyStateMethod::kDirect));
 
 TEST(Dtmc, IsStochasticDetectsBadRows) {
   Dtmc d = two_state(0.3, 0.1);
@@ -94,7 +102,7 @@ TEST(Ctmc, TwoStateSteadyState) {
   c.set_rate(1, 0, 6.0);
   for (auto m : {SteadyStateMethod::kPowerIteration,
                  SteadyStateMethod::kGaussSeidel,
-                 SteadyStateMethod::kDirectLU}) {
+                 SteadyStateMethod::kDirect}) {
     const SolveResult r = c.steady_state(method(m));
     EXPECT_NEAR(r.distribution[0], 0.75, 1e-7) << static_cast<int>(m);
     EXPECT_NEAR(r.distribution[1], 0.25, 1e-7) << static_cast<int>(m);
@@ -179,8 +187,8 @@ TEST(Absorbing, RuinProbabilities) {
   ASSERT_EQ(r.absorbing_states.size(), 2u);
   // Fair walk: P(hit 4 from i) = i/4.
   for (std::size_t i = 0; i <= 4; ++i) {
-    const double p_hi = r.absorption_probability.at(i, 1);
-    const double p_lo = r.absorption_probability.at(i, 0);
+    const double p_hi = r.absorption_probability[i][1];
+    const double p_lo = r.absorption_probability[i][0];
     EXPECT_NEAR(p_hi, static_cast<double>(i) / 4.0, 1e-9);
     EXPECT_NEAR(p_lo + p_hi, 1.0, 1e-9);
   }
@@ -200,6 +208,302 @@ TEST(Absorbing, RejectsUnreachableAbsorption) {
   EXPECT_THROW(
       holms::markov::absorbing_analysis(d, {true, false, false}),
       std::runtime_error);
+}
+
+// ---------- exact solves: banded GTH against the dense LU oracle ----------
+
+double l1_distance(const std::vector<double>& a, const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    d += std::abs(a[i] - b[i]);
+  }
+  return d;
+}
+
+// ||pi (P - I)||_1.
+double residual(const Dtmc& d, const std::vector<double>& pi) {
+  return l1_distance(d.transient(pi, 1), pi);
+}
+
+// ||pi Q||_1.
+double residual(const Ctmc& c, const std::vector<double>& pi) {
+  std::vector<double> flow(c.size(), 0.0);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    flow[i] -= pi[i] * c.exit_rate(i);
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      if (j != i) flow[j] += pi[i] * c.rate(i, j);
+    }
+  }
+  return l1_distance(flow, std::vector<double>(c.size(), 0.0));
+}
+
+template <typename Chain>
+std::vector<double> direct(const Chain& chain) {
+  const SolveResult r = chain.steady_state(method(SteadyStateMethod::kDirect));
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 0u);
+  return r.distribution;
+}
+
+// The exact solve agrees with the dense LU oracle and balances the chain.
+template <typename Chain>
+void expect_exact(const Chain& chain, const char* name) {
+  const std::vector<double> pi = direct(chain);
+  EXPECT_LE(l1_distance(pi, holms::test_support::lu_steady_state(chain)),
+            1e-12)
+      << name;
+  EXPECT_LE(residual(chain, pi), 1e-13) << name;
+}
+
+// Dense random DTMC (every entry positive), as RandomChain builds them.
+Dtmc random_dense_dtmc(std::uint64_t seed) {
+  holms::sim::Rng rng(seed);
+  const std::size_t n = 3 + seed % 6;
+  Dtmc d(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<double> row(n);
+    double sum = 0.0;
+    for (double& x : row) sum += x = rng.uniform(0.01, 1.0);
+    for (std::size_t c = 0; c < n; ++c) d.set(r, c, row[c] / sum);
+  }
+  return d;
+}
+
+// Dense random CTMC, as RandomCtmc builds them.
+Ctmc random_dense_ctmc(std::uint64_t seed) {
+  holms::sim::Rng rng(seed);
+  const std::size_t n = 4 + seed % 4;
+  Ctmc c(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) c.set_rate(i, j, rng.uniform(0.1, 3.0));
+    }
+  }
+  return c;
+}
+
+Ctmc producer_consumer(double prod, double cons, std::size_t cap) {
+  ProducerConsumerModel m;
+  m.producer_rate = prod;
+  m.consumer_rate = cons;
+  m.buffer_capacity = cap;
+  return m.to_ctmc();
+}
+
+TEST(ExactSolve, SmallChainsMatchDenseLu) {
+  expect_exact(two_state(0.3, 0.1), "two-state");
+  Dtmc ring(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ring.set(i, i, 0.5);
+    ring.set(i, (i + 1) % 4, 0.5);
+  }
+  expect_exact(ring, "ring");
+  Dtmc periodic(2);
+  periodic.set(0, 1, 1.0);
+  periodic.set(1, 0, 1.0);
+  expect_exact(periodic, "periodic");
+  Ctmc c(2);
+  c.set_rate(0, 1, 2.0);
+  c.set_rate(1, 0, 6.0);
+  expect_exact(c, "ctmc two-state");
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_exact(random_dense_dtmc(seed), "random dense dtmc");
+  }
+  for (std::uint64_t seed = 41; seed <= 46; ++seed) {
+    expect_exact(random_dense_ctmc(seed), "random dense ctmc");
+  }
+}
+
+TEST(ExactSolve, QueueingChainsMatchDenseLu) {
+  // The producer-consumer chains bench_sec22_analysis solves directly.
+  expect_exact(producer_consumer(40.0, 50.0, 4), "pc 40/50/4");
+  expect_exact(producer_consumer(80.0, 50.0, 8), "pc 80/50/8");
+  expect_exact(producer_consumer(120.0, 100.0, 32), "pc 120/100/32");
+  expect_exact(producer_consumer(95.0, 100.0, 100), "pc 95/100/100");
+  // test_hotpath's tridiagonal CTMC and fully dense DTMC.
+  const std::size_t n = 96;
+  Ctmc tri(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    tri.set_rate(i, i + 1, 3.0);
+    tri.set_rate(i + 1, i, 4.0);
+  }
+  expect_exact(tri, "tridiagonal");
+  Dtmc dense(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      dense.set(r, c, 1.0 / static_cast<double>(n));
+    }
+  }
+  expect_exact(dense, "dense");
+}
+
+TEST(ExactSolve, TandemAndBandedChainsMatchDenseLu) {
+  using holms::test_support::banded_chain;
+  using holms::test_support::tandem_chain;
+  expect_exact(tandem_chain(32, 1.0, 1.12, 1.17), "tandem 32 (n = 1024)");
+  expect_exact(tandem_chain(36, 1.0, 1.12, 1.17), "tandem 36 (n = 1296)");
+  expect_exact(banded_chain(1500, 4), "banded 1500");
+}
+
+TEST(ExactSolve, StoredZerosDoNotWidenTheBand) {
+  // A tridiagonal chain whose rows also store explicit zeros to far states
+  // solves in its narrow band, bit for bit like the chain without them.
+  const std::size_t n = 50;
+  Dtmc plain(n), padded(n);
+  for (Dtmc* d : {&plain, &padded}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (d == &padded) d->set(i, n - 1 - i, 0.0);
+      if (i + 1 < n) d->set(i, i + 1, 0.3);
+      if (i > 0) d->set(i, i - 1, 0.2);
+      d->set(i, i, 1.0 - (i + 1 < n ? 0.3 : 0.0) - (i > 0 ? 0.2 : 0.0));
+    }
+  }
+  EXPECT_EQ(direct(padded), direct(plain));
+  expect_exact(padded, "padded tridiagonal");
+}
+
+TEST(ExactSolve, UnichainsSolveLikeTheDenseLu) {
+  // 0 -> 1, 1 <-> 2: state 0 is transient.
+  Dtmc d(3);
+  d.set(0, 1, 1.0);
+  d.set(1, 2, 1.0);
+  d.set(2, 1, 1.0);
+  EXPECT_EQ(direct(d), (std::vector<double>{0.0, 0.5, 0.5}));
+  // Rates 0 -> 1 and 2 -> 1: state 1 absorbs everything.
+  Ctmc c(3);
+  c.set_rate(0, 1, 2.0);
+  c.set_rate(2, 1, 5.0);
+  EXPECT_EQ(direct(c), (std::vector<double>{0.0, 1.0, 0.0}));
+}
+
+// A seeded random unichain: a closed class on a random subset of the
+// states, transient states that each lead into the class (so they stay
+// transient) and wander anywhere else.
+Dtmc random_unichain(std::uint64_t seed) {
+  holms::sim::Rng rng(seed);
+  const std::size_t n = 4 + seed % 9;
+  std::vector<bool> closed(n);
+  bool any = false;
+  for (std::size_t i = 0; i < n; ++i) any |= closed[i] = rng.bernoulli(0.5);
+  if (!any) closed[n - 1] = true;
+  Dtmc d(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<double> row(n, 0.0);
+    double sum = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (closed[r] && !closed[c]) continue;
+      if (closed[c] || rng.bernoulli(0.6)) sum += row[c] = rng.uniform(0.05, 1.0);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      if (row[c] > 0.0) d.set(r, c, row[c] / sum);
+    }
+  }
+  return d;
+}
+
+TEST(ExactSolve, RandomUnichainsMatchDenseLu) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Dtmc d = random_unichain(seed);
+    const std::vector<double> pi = direct(d);
+    EXPECT_LE(l1_distance(pi, holms::test_support::lu_steady_state(d)), 1e-12)
+        << "seed " << seed;
+    EXPECT_LE(residual(d, pi), 1e-13) << "seed " << seed;
+  }
+}
+
+TEST(ExactSolve, TwoClosedClassesThrow) {
+  Dtmc d(3);
+  d.set(0, 0, 1.0);
+  d.set(1, 1, 1.0);
+  d.set(2, 0, 0.5);
+  d.set(2, 1, 0.5);
+  EXPECT_THROW(d.steady_state(method(SteadyStateMethod::kDirect)),
+               holms::RuntimeError);
+  Ctmc c(4);
+  c.set_rate(0, 1, 1.0);
+  c.set_rate(1, 0, 1.0);
+  c.set_rate(3, 2, 1.0);
+  EXPECT_THROW(c.steady_state(method(SteadyStateMethod::kDirect)),
+               holms::RuntimeError);
+}
+
+// Gambler's ruin on 0..n-1 with up-probability p; 0 and n-1 absorb.
+Dtmc gamblers_ruin(std::size_t n, double p) {
+  Dtmc d(n);
+  d.set(0, 0, 1.0);
+  d.set(n - 1, n - 1, 1.0);
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    d.set(i, i - 1, 1.0 - p);
+    d.set(i, i + 1, p);
+  }
+  return d;
+}
+
+// A seeded random absorbing chain: random absorbing flags (at least one),
+// and every transient state steps to a random state, to the previous
+// transient state or, for the first, to an absorbing state, so each one
+// reaches absorption.
+std::pair<Dtmc, std::vector<bool>> random_absorbing(std::uint64_t seed) {
+  holms::sim::Rng rng(seed);
+  const std::size_t n = 3 + seed % 10;
+  std::vector<bool> absorbing(n);
+  std::vector<std::size_t> abs_states, transient;
+  for (std::size_t i = 0; i < n; ++i) {
+    absorbing[i] = rng.bernoulli(0.3);
+    (absorbing[i] ? abs_states : transient).push_back(i);
+  }
+  if (abs_states.empty()) {
+    absorbing[0] = true;
+    abs_states.push_back(0);
+    transient.erase(transient.begin());
+  }
+  Dtmc d(n);
+  for (const std::size_t a : abs_states) d.set(a, a, 1.0);
+  for (std::size_t k = 0; k < transient.size(); ++k) {
+    std::vector<double> row(n, 0.0);
+    const std::size_t exit = k == 0 ? abs_states[0] : transient[k - 1];
+    row[exit] = rng.uniform(0.05, 1.0);
+    double sum = row[exit];
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c != exit && rng.bernoulli(0.5)) sum += row[c] = rng.uniform(0.0, 1.0);
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      if (row[c] > 0.0) d.set(transient[k], c, row[c] / sum);
+    }
+  }
+  return {d, absorbing};
+}
+
+void expect_absorbing_matches_lu(const Dtmc& d,
+                                 const std::vector<bool>& absorbing,
+                                 const std::string& name) {
+  const auto r = holms::markov::absorbing_analysis(d, absorbing);
+  const auto ref = holms::test_support::lu_absorbing_analysis(d, absorbing);
+  ASSERT_EQ(r.absorbing_states, ref.absorbing_states) << name;
+  for (std::size_t s = 0; s < d.size(); ++s) {
+    EXPECT_LE(std::abs(r.expected_steps[s] - ref.expected_steps[s]),
+              1e-12 * ref.expected_steps[s])
+        << name << " state " << s;
+    for (std::size_t k = 0; k < r.absorbing_states.size(); ++k) {
+      EXPECT_NEAR(r.absorption_probability[s][k],
+                  ref.absorption_probability[s][k], 1e-12)
+          << name << " state " << s << " target " << k;
+    }
+  }
+}
+
+TEST(ExactSolve, AbsorbingAnalysisMatchesDenseLu) {
+  for (const double p : {0.5, 0.3, 0.8}) {
+    std::vector<bool> ends(40, false);
+    ends.front() = ends.back() = true;
+    expect_absorbing_matches_lu(gamblers_ruin(40, p), ends, "gambler's ruin");
+  }
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto [d, absorbing] = random_absorbing(seed);
+    expect_absorbing_matches_lu(d, absorbing,
+                                "random seed " + std::to_string(seed));
+  }
 }
 
 // ---------- queueing formulas ----------
@@ -346,6 +650,34 @@ TEST(Jackson, MatchesDecoderPipelineIntuition) {
             sol.station[0].mean_queue_length);
   EXPECT_GT(sol.station[1].mean_queue_length,
             sol.station[2].mean_queue_length);
+}
+
+TEST(Jackson, NearlyClosedFeedbackIsExact) {
+  // 0 -> 1 always, 1 -> 0 with probability p: both stations carry
+  // 1 / (1 - p).  Iterating lambda = lambda0 + lambda R needs O(1 / (1 - p))
+  // sweeps per digit here, so this is where an inexact solve gives up.
+  for (const double p : {0.9999, 0.99999}) {
+    holms::markov::JacksonNetwork net({{1e6, 1.0}, {1e6, 0.0}});
+    net.set_routing(0, 1, 1.0);
+    net.set_routing(1, 0, p);
+    const auto sol = net.solve();
+    const double expected = 1.0 / (1.0 - p);
+    for (const double lambda : sol.effective_arrival_rate) {
+      EXPECT_NEAR(lambda / expected, 1.0, 1e-9) << "p = " << p;
+    }
+    EXPECT_TRUE(sol.stable);
+  }
+}
+
+TEST(Jackson, UnreachedClosedStationCarriesNoLoad) {
+  // Station 1 feeds itself forever, but no job ever arrives there.
+  holms::markov::JacksonNetwork net({{5.0, 1.0}, {5.0, 0.0}});
+  net.set_routing(1, 1, 1.0);
+  const auto sol = net.solve();
+  EXPECT_EQ(sol.effective_arrival_rate,
+            (std::vector<double>{1.0, 0.0}));
+  EXPECT_TRUE(sol.stable);
+  EXPECT_EQ(sol.station[1].mean_queue_length, 0.0);
 }
 
 TEST(ProducerConsumer, BalancedPipelineIsSymmetric) {

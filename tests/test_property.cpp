@@ -79,13 +79,13 @@ TEST_P(RandomChain, AllSolversAgree) {
     for (std::size_t c = 0; c < n; ++c) d.set(r, c, row[c] / sum);
   }
   ASSERT_TRUE(d.is_stochastic(1e-9));
-  holms::markov::SolveOptions power, gs, lu;
+  holms::markov::SolveOptions power, gs, direct;
   power.method = holms::markov::SteadyStateMethod::kPowerIteration;
   gs.method = holms::markov::SteadyStateMethod::kGaussSeidel;
-  lu.method = holms::markov::SteadyStateMethod::kDirectLU;
+  direct.method = holms::markov::SteadyStateMethod::kDirect;
   const auto p1 = d.steady_state(power).distribution;
   const auto p2 = d.steady_state(gs).distribution;
-  const auto p3 = d.steady_state(lu).distribution;
+  const auto p3 = d.steady_state(direct).distribution;
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(p1[i], p3[i], 1e-6);
     EXPECT_NEAR(p2[i], p3[i], 1e-6);
@@ -241,9 +241,9 @@ TEST_P(RandomCtmc, SteadyStateSatisfiesGlobalBalance) {
       if (i != j) c.set_rate(i, j, rng.uniform(0.1, 3.0));
     }
   }
-  holms::markov::SolveOptions lu;
-  lu.method = holms::markov::SteadyStateMethod::kDirectLU;
-  const auto pi = c.steady_state(lu).distribution;
+  holms::markov::SolveOptions direct;
+  direct.method = holms::markov::SteadyStateMethod::kDirect;
+  const auto pi = c.steady_state(direct).distribution;
   // Global balance: inflow == outflow per state.
   for (std::size_t s = 0; s < n; ++s) {
     double inflow = 0.0;

@@ -67,14 +67,30 @@ TEST(Robust, SingleStateChain) {
   EXPECT_DOUBLE_EQ(r.distribution[0], 1.0);
 }
 
+TEST(Robust, EmptyChainSolvesToEmptyDistribution) {
+  for (const auto method : {holms::markov::SteadyStateMethod::kPowerIteration,
+                            holms::markov::SteadyStateMethod::kGaussSeidel,
+                            holms::markov::SteadyStateMethod::kDirect}) {
+    holms::markov::SolveOptions opts;
+    opts.method = method;
+    for (const auto& r : {holms::markov::Dtmc(0).steady_state(opts),
+                          holms::markov::Ctmc(0).steady_state(opts)}) {
+      EXPECT_TRUE(r.distribution.empty());
+      EXPECT_EQ(r.iterations, 0u);
+      EXPECT_FALSE(r.converged);
+    }
+  }
+}
+
 TEST(Robust, PeriodicChainStillSolvableByDirectMethod) {
-  // Period-2 chain: power iteration oscillates, LU does not care.
+  // Period-2 chain: power iteration oscillates, the direct solve does not
+  // care.
   holms::markov::Dtmc d(2);
   d.set(0, 1, 1.0);
   d.set(1, 0, 1.0);
-  holms::markov::SolveOptions lu;
-  lu.method = holms::markov::SteadyStateMethod::kDirectLU;
-  const auto r = d.steady_state(lu);
+  holms::markov::SolveOptions direct;
+  direct.method = holms::markov::SteadyStateMethod::kDirect;
+  const auto r = d.steady_state(direct);
   EXPECT_NEAR(r.distribution[0], 0.5, 1e-9);
 }
 
