@@ -74,24 +74,6 @@ struct FgsSlotBatch {
   double* decoded_bps = nullptr;
 };
 
-/// Where one column's ascending sources cross its shard [lo, hi) and its
-/// diagonal, as offsets from the column's start in the transposed CSR:
-/// entries [0, lo) lie below the shard, [lo, diag) in the shard below the
-/// diagonal, [diag_end, hi) in the shard above it (diag_end = diag + 1 when
-/// the diagonal is stored, else diag), and [hi, len) above the shard.  A
-/// column holds at most n entries and the CSR's source indices are 32-bit,
-/// so 32-bit offsets suffice.
-struct GsBounds {
-  std::uint32_t lo = 0, diag = 0, diag_end = 0, hi = 0;
-};
-
-/// Fills bounds[c] for every column c in [lo, hi), the shard gs_cols will
-/// sweep: the answers depend only on the matrix and the shard, so a solve
-/// finds them once, not once per sweep.  Scalar and ISA-independent, hence
-/// not a table entry.
-void gs_bounds(const std::size_t* offsets, const std::uint32_t* srcs,
-               std::size_t lo, std::size_t hi, GsBounds* bounds);
-
 /// Kernel table for one ISA.  All reductions follow the canonical lane
 /// order above; all tables produce bitwise identical results.
 struct Kernels {
@@ -111,19 +93,15 @@ struct Kernels {
   void (*spmv_cols)(const std::size_t* offsets, const std::uint32_t* srcs,
                     const double* vals, const double* x, double* out,
                     std::size_t lo, std::size_t hi);
-  /// Block-hybrid Gauss–Seidel sweep over columns [lo, hi) of a transposed
-  /// CSR: in-shard sources (index in [lo, hi)) read `next`, out-of-shard
-  /// sources read `pi`, the diagonal is skipped and solved as
-  /// next[c] = diag[c] < 1 ? acc / (1 - diag[c]) : acc.  Each column's sum
-  /// is four lane-reduced segments (below-shard / below-diagonal /
-  /// above-diagonal / above-shard) combined left to right, split where
-  /// bounds[c] says; `bounds` must come from gs_bounds over the same
-  /// [lo, hi).  A full-range shard [0, n) reproduces serial Gauss–Seidel
-  /// exactly.
-  void (*gs_cols)(const std::size_t* offsets, const std::uint32_t* srcs,
-                  const double* vals, const GsBounds* bounds,
-                  const double* diag, const double* pi, double* next,
-                  std::size_t lo, std::size_t hi);
+  /// One in-place Gauss–Seidel sweep over the n columns of a transposed CSR
+  /// that stores no diagonal entry: x[c] = dot(c) / denom[c], where dot(c)
+  /// is c's lane-reduced gather against x as it stands, so every column
+  /// reads the new value of each column swept before it.  Columns ascend, or
+  /// descend when `backward` is set; a forward sweep followed by a backward
+  /// one is one symmetric Gauss–Seidel iteration.
+  void (*gs_sweep)(const std::size_t* offsets, const std::uint32_t* srcs,
+                   const double* vals, const double* denom, double* x,
+                   std::size_t n, bool backward);
   /// SwapEvaluator O(deg) delta-energy: sum over touched edges of
   /// transfer_energy(vol, new_hops) - transfer_energy(vol, old_hops) with
   /// transfer_energy(b, h) = b * ((h+1) * e_router_pj + h * e_link_pj) *

@@ -2,12 +2,10 @@
 // once, on first use, from HOLMS_SIMD + runtime CPU detection; kernels_for()
 // exposes every compiled-in table so tests and benches can compare ISAs
 // without re-execing.  HOLMS_SIMD_HAVE_AVX2 / HOLMS_SIMD_HAVE_NEON are set
-// by exec/CMakeLists.txt exactly when the matching TU is in the build.  The
-// ISA-independent gs_bounds helper lives here too.
+// by exec/CMakeLists.txt exactly when the matching TU is in the build.
 
 #include "exec/simd.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -80,27 +78,6 @@ const Kernels& kernels_for(Isa isa) {
       return detail::scalar_kernels();
   }
   return detail::scalar_kernels();
-}
-
-void gs_bounds(const std::size_t* offsets, const std::uint32_t* srcs,
-               std::size_t lo, std::size_t hi, GsBounds* bounds) {
-  const auto lo32 = static_cast<std::uint32_t>(lo);
-  const auto hi32 = static_cast<std::uint32_t>(hi);
-  for (std::size_t c = lo; c < hi; ++c) {
-    // Sources ascend within the column, so the in-shard sources form one
-    // contiguous middle stretch and the diagonal (if stored) sits inside it.
-    const std::uint32_t* b = srcs + offsets[c];
-    const std::uint32_t* e = srcs + offsets[c + 1];
-    const std::uint32_t* lo_p = std::lower_bound(b, e, lo32);
-    const std::uint32_t* hi_p = std::lower_bound(lo_p, e, hi32);
-    const std::uint32_t* d_p =
-        std::lower_bound(lo_p, hi_p, static_cast<std::uint32_t>(c));
-    const bool stored = d_p < hi_p && *d_p == static_cast<std::uint32_t>(c);
-    const auto at = [b](const std::uint32_t* p) {
-      return static_cast<std::uint32_t>(p - b);
-    };
-    bounds[c] = {at(lo_p), at(d_p), at(d_p) + (stored ? 1u : 0u), at(hi_p)};
-  }
 }
 
 const Kernels& kernels() {

@@ -1,12 +1,15 @@
 #include "exec/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "exec/error.hpp"
@@ -15,11 +18,16 @@ namespace holms::exec {
 
 std::size_t env_threads(std::size_t fallback) {
   const char* raw = std::getenv("HOLMS_THREADS");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0' || v == 0) return fallback;
-  return static_cast<std::size_t>(v);
+  if (raw == nullptr) return fallback;
+  // from_chars takes digits only: no sign, no leading space, and a value
+  // past size_t is an error rather than a wrapped or clamped count.
+  const std::string_view s(raw);
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || v == 0) {
+    return fallback;
+  }
+  return v;
 }
 
 // Generation-stamped job dispatch: parallel_for publishes a job under the

@@ -13,7 +13,7 @@
 // serial path (the loop body runs inline on the caller, no pool, no atomics
 // beyond the ones the body itself uses).
 //
-// ShardTeam is the pool's counterpart for the Markov solvers' fixed shard
+// ShardTeam is the pool's counterpart for power iteration's fixed shard
 // grid: many short, equal sweeps, each shard pinned to one member.
 
 #include <cstddef>
@@ -32,7 +32,9 @@ inline std::size_t resolve_threads(std::size_t requested) {
 }
 
 /// Thread count requested by the HOLMS_THREADS environment variable, or
-/// `fallback` when the variable is unset / empty / not a positive integer.
+/// `fallback` when the variable is unset or not a plain positive decimal
+/// that fits in size_t (empty, signed, space-padded and overflowing values
+/// all fall back).
 /// The CI matrix runs the whole test suite under HOLMS_THREADS=1 and =4;
 /// tests fold this value into their thread-count sweeps so both runs
 /// exercise genuinely different pool sizes (results must not change —

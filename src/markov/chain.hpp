@@ -9,7 +9,8 @@
 // three interchangeable steady-state solvers, so the solver itself can be
 // ablated (DESIGN.md §6):
 //   - power iteration       robust, O(iters * nnz)
-//   - Gauss–Seidel          faster convergence on diagonally dominant systems
+//   - Gauss–Seidel          symmetric (forward + backward) sweeps, serial;
+//                           fewer iterations than power iteration
 //   - direct                exact banded GTH elimination, O(n * w^2) for a
 //                           chain whose transitions span w states of its order
 //
@@ -48,19 +49,16 @@ enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirect };
 struct SolveOptions {
   SteadyStateMethod method = SteadyStateMethod::kPowerIteration;
   std::size_t max_iterations = 200000;
-  double tolerance = 1e-12;  // L1 change per sweep
+  double tolerance = 1e-12;  // L1 change per iteration
 
-  /// Parallel sharding of the CSR kernels (DESIGN.md §5g).  The sharded
-  /// fixed-grid kernels engage whenever n >= parallel_min_states AND
-  /// nnz >= parallel_min_nnz — *independent of the thread count* — so the
-  /// iterate sequence is a function of the problem alone and solves are
-  /// bitwise identical across 1/2/4/7/... threads.  `threads` follows the
+  /// Workers for power iteration's sharded sweeps (DESIGN.md §5g), by the
   /// explorer convention (0 = hardware concurrency, 1 = run the shard loop
-  /// inline); a sharded solve runs on its own exec::ShardTeam of
-  /// min(threads, shards) members and joins it before returning.
+  /// inline).  Power iteration shards a chain of at least 1024 states and
+  /// 4096 nonzeros on a fixed 256-column grid whatever `threads` is, and runs
+  /// it on its own exec::ShardTeam of min(threads, shards) members, joined
+  /// before returning: solves are bitwise identical across 1/2/4/7/...
+  /// threads.  Gauss–Seidel is serial at every size and ignores `threads`.
   std::size_t threads = 1;
-  std::size_t parallel_min_states = 1024;
-  std::size_t parallel_min_nnz = 4096;
 
   /// Rejects nonsensical solver settings; called by the steady_state /
   /// transient entry points (contract rule C001, DESIGN.md §5f).
@@ -76,7 +74,9 @@ struct SolveOptions {
 
 struct SolveResult {
   std::vector<double> distribution;  // stationary probabilities, sums to 1
-  std::size_t iterations = 0;        // 0 for the direct method
+  /// Power iteration: sweeps.  Gauss–Seidel: symmetric iterations, each a
+  /// forward and a backward sweep.  Direct: 0.
+  std::size_t iterations = 0;
   bool converged = false;
 };
 

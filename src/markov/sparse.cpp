@@ -26,13 +26,16 @@ double l1_delta(std::span<const double> a, std::span<const double> b) {
   return exec::simd::kernels().sum_abs_diff(a.data(), b.data(), a.size());
 }
 
-// Fixed shard grid for the parallel kernels (DESIGN.md §5g): always 256
-// columns per shard, *independent of the thread count*, so the work
-// decomposition — and therefore every floating-point accumulation order —
-// is a function of the problem size alone.  Below the engagement floors the
-// grid is one shard spanning every column.  Shard s always runs on the same
-// team member and writes only its own output columns.
+// Power iteration's fixed shard grid (DESIGN.md §5g): always 256 columns
+// per shard, *independent of the thread count*.  A chain below either floor
+// sweeps as one shard spanning every column: its sweep is too short to hand
+// out.  Sharded and one-shard sweeps run the same per-column kernel, so the
+// floors only decide whether a team starts, never a bit of the result.
+// Shard s always runs on the same team member and writes only its own
+// output columns.
 constexpr std::size_t kShardCols = 256;
+constexpr std::size_t kShardMinStates = 1024;
+constexpr std::size_t kShardMinNnz = 4096;
 
 struct ShardGrid {
   std::size_t n = 0;
@@ -43,9 +46,9 @@ struct ShardGrid {
   std::size_t hi(std::size_t s) const { return std::min(n, lo(s) + width); }
 };
 
-ShardGrid solve_grid(const CsrMatrix& p, const SolveOptions& opts) {
+ShardGrid solve_grid(const CsrMatrix& p) {
   const std::size_t n = p.rows();
-  if (!sharded_solve_engaged(n, p.nnz(), opts)) return {n, n};
+  if (n < kShardMinStates || p.nnz() < kShardMinNnz) return {n, n};
   exec::count("markov.sharded_solves");
   return {n, kShardCols};
 }
@@ -131,7 +134,7 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
   // bitwise invariant to the thread count, the shard grid, and the ISA.
   const auto& k = exec::simd::kernels();
   const CsrMatrix pt = p.transposed();
-  const ShardGrid grid = solve_grid(p, opts);
+  const ShardGrid grid = solve_grid(p);
   exec::ShardTeam team(team_size(grid, opts));
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     team.run(grid.count(), [&](std::size_t s) {
@@ -155,59 +158,48 @@ SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   const std::size_t n = p.rows();
   SolveResult res;
   if (n == 0) return res;
-  // Column sweeps need column access: work on the transpose, with the
-  // diagonal split out (the sweep skips r == c and divides by 1 - p_cc).
-  const CsrMatrix pt = p.transposed();
-  exec::aligned_vector<double> diag(n, 0.0);
+  // Column c solves pi[c] (1 - p_cc) = sum_{r != c} pi[r] p_rc, so the
+  // sweep's transpose keeps only the off-diagonal sources and 1 - p_cc (1 for
+  // an absorbing state) is the column's divisor.  Rows are scanned in order,
+  // so each column's sources ascend as the simd kernels require.
+  std::vector<SparseRow> sources(n);
+  exec::aligned_vector<double> denom(n, 1.0);
   for (std::size_t r = 0; r < n; ++r) {
     const auto cols = p.row_cols(r);
     const auto vals = p.row_vals(r);
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] == r) diag[r] = vals[i];
+      if (cols[i] != r) {
+        sources[cols[i]].push_back({r, vals[i]});
+      } else if (vals[i] < 1.0) {
+        denom[r] = 1.0 - vals[i];
+      }
     }
   }
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n, 0.0);
+  const CsrMatrix pt(n, sources);
 
-  // Block-hybrid sweep (DESIGN.md §5g): Gauss–Seidel within each fixed
-  // 256-column shard, Jacobi across shards.  `next` starts as a copy of pi,
-  // each shard updates only its own columns in ascending order, and a column
-  // reads `next` for in-shard sources (already-updated values below it,
-  // prior-sweep values above — exactly serial GS restricted to the shard)
-  // and the prior-sweep `pi` for out-of-shard sources.  No shard ever reads
-  // another shard's output, so the sweep is race-free and its result depends
-  // only on the fixed grid — bitwise invariant to thread count.  Below the
-  // engagement floors the sweep is ONE full-range gs_cols call, where the
-  // out-of-shard segments are empty and the kernel reduces to serial GS —
-  // a *different* (still convergent) iterate sequence than the hybrid,
-  // which is why engagement is gated on size floors rather than on threads.
+  // Symmetric Gauss–Seidel: a forward sweep then a backward one, both in
+  // place, then one normalization.  A forward-only sweep stalls in a period-2
+  // cycle on the tandem queue at even level counts, and a backward-only one
+  // on the same chain with its states reversed; the symmetric sweep
+  // converges in either order.  Serial at every size, so the iterates depend
+  // on the chain alone.
   const auto& k = exec::simd::kernels();
-  const ShardGrid grid = solve_grid(p, opts);
-  // Where each column's sources cross its shard and its diagonal depends
-  // only on the matrix and the grid: found once here, not once per sweep.
-  exec::aligned_vector<exec::simd::GsBounds> bounds(n);
-  for (std::size_t s = 0; s < grid.count(); ++s) {
-    exec::simd::gs_bounds(pt.offsets_data(), pt.cols_data(), grid.lo(s),
-                          grid.hi(s), bounds.data());
-  }
-  exec::ShardTeam team(team_size(grid, opts));
+  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
+  std::vector<double> prev(n, 0.0);
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    next = pi;
-    team.run(grid.count(), [&](std::size_t s) {
-      k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
-                bounds.data(), diag.data(), pi.data(), next.data(), grid.lo(s),
-                grid.hi(s));
-    });
-    normalize(next);  // serial, fixed order
-    const double delta = l1_delta(pi, next);
-    pi.swap(next);
+    prev = pi;
+    for (const bool backward : {false, true}) {
+      k.gs_sweep(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
+                 denom.data(), pi.data(), n, backward);
+    }
+    normalize(pi);
+    const double delta = l1_delta(prev, pi);
     res.iterations = it + 1;
     if (delta < opts.tolerance) {
       res.converged = true;
       break;
     }
   }
-  normalize(pi);
   res.distribution = std::move(pi);
   return res;
 }

@@ -51,7 +51,7 @@ class CsrMatrix {
   /// order — counting placement preserves the scan order.
   CsrMatrix transposed() const;
 
-  /// Raw views for the exec::simd kernels (spmv_cols / gs_cols).
+  /// Raw views for the exec::simd kernels (spmv_cols / gs_sweep).
   const std::size_t* offsets_data() const { return offsets_.data(); }
   const std::uint32_t* cols_data() const { return cols_idx_.data(); }
   const double* vals_data() const { return vals_.data(); }
@@ -66,33 +66,23 @@ class CsrMatrix {
   exec::aligned_vector<double> vals_;
 };
 
-/// True when `opts` engages the fixed-grid sharded kernels for a matrix of
-/// this size (DESIGN.md §5g).  Deliberately independent of `opts.threads`:
-/// the kernel choice is a function of the problem, so every thread count
-/// runs the identical algorithm and solves stay bitwise invariant to
-/// parallelism.  Exposed for tests and benchmarks.
-inline bool sharded_solve_engaged(std::size_t n, std::size_t nnz,
-                                  const SolveOptions& opts) {
-  return n >= opts.parallel_min_states && nnz >= opts.parallel_min_nnz;
-}
-
 /// Power iteration pi <- pi P on a row-stochastic CSR matrix, gather form:
 /// next[c] = sum_r pi[r] * P[r, c] over the transpose, each column an
-/// exec::simd 8-lane reduction in ascending source-row order.  Serial and
+/// exec::simd 8-lane reduction in ascending source-row order.  From 1024
+/// states and 4096 nonzeros a sweep is split into fixed 256-column shards
+/// on a team of up to opts.threads members (DESIGN.md §5g).  Serial and
 /// sharded execution run the identical per-column kernel (a shard is just a
-/// [lo, hi) column range), so engaging the parallel path — or changing the
-/// thread count, or the ISA — never changes a bit.
+/// [lo, hi) column range), so sharding — or the thread count, or the ISA —
+/// never changes a bit.  SolveResult::iterations counts sweeps.
 SolveResult sparse_power_iteration(const CsrMatrix& p,
                                    const SolveOptions& opts);
 
-/// Gauss–Seidel on pi = pi P, sweeping columns in place (needs the transpose;
-/// built internally once).  Below the parallel floors the sweep is one
-/// full-range exec::simd gs_cols call — serial Gauss–Seidel with 8-lane
-/// segment reductions.  At or above them it switches to the block-hybrid
-/// sweep (Gauss–Seidel within each fixed 256-column shard, Jacobi across
-/// shards — DESIGN.md §5g): a *different but deterministic* iterate sequence
-/// that converges to the same stationary distribution and is bitwise
-/// invariant to thread count because the shard grid never moves.
+/// Symmetric Gauss–Seidel on pi = pi P: each iteration sweeps the columns of
+/// the transpose (built internally once, without its diagonal) forward and
+/// then backward, in place, with exec::simd 8-lane column reductions, and
+/// normalizes once.  Serial at every size: opts.threads is ignored, and the
+/// iterates depend on the chain alone.  SolveResult::iterations counts
+/// symmetric iterations (two sweeps each).
 SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts);
 
 }  // namespace holms::markov

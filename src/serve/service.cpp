@@ -35,9 +35,8 @@ void ServeOptions::validate() const {
     throw holms::InvalidArgument(
         "ServeOptions: dispatch_quantum_s must be >= 0");
   }
-  if (!(fault_loss >= 0.0 && fault_loss <= 1.0) ||
-      !(nominal_loss >= 0.0 && nominal_loss <= 1.0) || !(soft_loss <= 1.0)) {
-    throw holms::InvalidArgument("ServeOptions: loss must be in [0, 1]");
+  if (!(fault_loss >= 0.0 && fault_loss <= 1.0)) {
+    throw holms::InvalidArgument("ServeOptions: fault_loss must be in [0, 1]");
   }
 }
 
@@ -75,13 +74,12 @@ struct ServiceManager::FgsSession {
   FgsSession(std::size_t id_, streaming::FgsPolicy policy,
              const streaming::FgsConfig& cfg, std::size_t slots,
              std::uint64_t seed, const fault::FaultSchedule* faults,
-             double nominal_loss, double fault_loss, double soft_loss)
+             double fault_loss)
       : id(id_), cpu(dvfs::xscale_points(), dvfs::PowerModel{}),
         channel(sim::Rng(exec::stream_seed(seed, id_))),
         loss(faults != nullptr
                  ? std::make_unique<streaming::SlotLossTrace>(
-                       faults, cfg.slot_s, nominal_loss, fault_loss,
-                       soft_loss)
+                       faults, cfg.slot_s, /*nominal_loss=*/0.0, fault_loss)
                  : nullptr),
         fom(policy, cfg, cpu, channel, slots, loss.get()) {}
 
@@ -190,8 +188,7 @@ std::size_t ServiceManager::add_fgs_session(streaming::FgsPolicy policy,
   Locality& loc = *localities_[id % localities_.size()];
   loc.fgs.push_back(std::make_unique<FgsSession>(
       id, effective, cfg, slots, opt_.seed,
-      loc.faults.empty() ? nullptr : &loc.faults, opt_.nominal_loss,
-      opt_.fault_loss, opt_.soft_loss));
+      loc.faults.empty() ? nullptr : &loc.faults, opt_.fault_loss));
   ++admitted_;
   return id;
 }

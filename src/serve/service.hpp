@@ -40,15 +40,13 @@ struct ServeOptions {
   /// grid: sessions with equal slot lengths then dispatch in same-timestamp
   /// batches, and the induced lag is recorded in ServeReport::dispatch_lag.
   double dispatch_quantum_s = 0.0;
-  /// Channel loss for FGS sessions on a locality while a scheduled fault
-  /// (Target::kNode, id == locality index) is active / not active.
+  /// Channel loss for FGS sessions on a locality while a scheduled hard fault
+  /// (Target::kNode, id == locality index) is active or a transient soft one
+  /// (kSoftFail, cleared by kScrub scrubbing passes — see
+  /// fault::FaultSchedule::soft) is pending; no loss otherwise.  Soft
+  /// corruption drives the graceful-degradation ladder without a repair crew
+  /// ever being involved.
   double fault_loss = 0.3;
-  double nominal_loss = 0.0;
-  /// Loss while only transient soft faults (kSoftFail, cleared by kScrub
-  /// scrubbing passes — see fault::FaultSchedule::soft) are pending on the
-  /// locality; negative = reuse fault_loss.  Soft corruption drives the
-  /// graceful-degradation ladder without a repair crew ever being involved.
-  double soft_loss = -1.0;
   std::uint64_t seed = 1;
 
   void validate() const;

@@ -39,10 +39,16 @@ inline markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
 // Two-station tandem queue, `levels` jobs per station: arrivals at lambda,
 // station-1 service moves a job downstream at mu1, station 2 serves at mu2.
 // perfbench's design_farm32 solves this shape at 36 levels (n = 1296).
+// `reversed` numbers the states from the last one down: the same chain in
+// the opposite sweep order.
 inline markov::Ctmc tandem_chain(std::size_t levels, double lambda, double mu1,
-                                 double mu2) {
-  markov::Ctmc q(levels * levels);
-  auto index = [&](std::size_t i, std::size_t j) { return i * levels + j; };
+                                 double mu2, bool reversed = false) {
+  const std::size_t n = levels * levels;
+  markov::Ctmc q(n);
+  auto index = [&](std::size_t i, std::size_t j) {
+    const std::size_t s = i * levels + j;
+    return reversed ? n - 1 - s : s;
+  };
   for (std::size_t i = 0; i < levels; ++i) {
     for (std::size_t j = 0; j < levels; ++j) {
       const std::size_t s = index(i, j);

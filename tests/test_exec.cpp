@@ -7,10 +7,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -82,6 +84,39 @@ TEST(ThreadPool, ParallelTransformPreservesIndexOrder) {
 TEST(ThreadPool, ResolveThreadsZeroMeansHardware) {
   EXPECT_GE(resolve_threads(0), 1u);
   EXPECT_EQ(resolve_threads(3), 3u);
+}
+
+TEST(ThreadPool, EnvThreadsAcceptsOnlyAPlainPositiveDecimal) {
+  // Only parses the variable: no pool is built for any value here.  The
+  // caller's HOLMS_THREADS (the CI matrix sets it) is restored afterwards.
+  const char* outer = std::getenv("HOLMS_THREADS");
+  const bool was_set = outer != nullptr;
+  const std::string saved = was_set ? outer : "";
+  ASSERT_EQ(unsetenv("HOLMS_THREADS"), 0);
+  EXPECT_EQ(env_threads(3), 3u);
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"4", 4},
+      {"007", 7},
+      {"", 3},
+      {"0", 3},
+      {"-1", 3},  // strtoul would wrap this to 2^64 - 1
+      {"+4", 3},
+      {" 4", 3},
+      {"4 ", 3},
+      {"4x", 3},
+      {"x", 3},
+      {"18446744073709551616", 3},  // 2^64: out of range
+      {"99999999999999999999999", 3},
+  };
+  for (const auto& [text, want] : cases) {
+    ASSERT_EQ(setenv("HOLMS_THREADS", text, 1), 0);
+    EXPECT_EQ(env_threads(3), want) << "HOLMS_THREADS='" << text << "'";
+  }
+  if (was_set) {
+    setenv("HOLMS_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("HOLMS_THREADS");
+  }
 }
 
 // ---------- shard team ----------

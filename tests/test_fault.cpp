@@ -875,7 +875,6 @@ TEST(SoftFault, ServeSoftLossDrivesGracefulShedding) {
     holms::serve::ServeOptions o;
     o.localities = 2;
     o.threads = 1;
-    o.soft_loss = 0.3;
     holms::serve::ServiceManager m(o);
     if (s != nullptr) m.attach_fault_schedule(s);
     const holms::streaming::FgsConfig cfg;

@@ -30,6 +30,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "support/chains.hpp"
+#include "support/power_oracle.hpp"
 #include "support/sa_oracle.hpp"
 #include "support/sched_oracle.hpp"
 
@@ -479,10 +480,11 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   // Reference values from the dense-storage chains (row-major O(n^2)
   // transient sweep, CSR built by scanning a dense matrix): the sparse-row
   // chains must reproduce every iterate bit for bit.  The first solves stay
-  // below the sharding floors; the tandem and banded solves further down
-  // run the fixed-grid sharded kernels.  All reduce through exec::simd's
-  // fixed lane order, so the digests hold under every HOLMS_SIMD /
-  // HOLMS_THREADS setting.
+  // below power iteration's sharding floors; the tandem and banded power
+  // solves further down run the fixed-grid sharded kernel.  The Gauss–Seidel
+  // pins are the symmetric sweep's.  All reduce through exec::simd's fixed
+  // lane order, so the digests hold under every HOLMS_SIMD / HOLMS_THREADS
+  // setting.
   const markov::Dtmc d = birth_death_chain(128);
   struct Pin {
     markov::SteadyStateMethod method;
@@ -492,8 +494,8 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   for (const Pin& pin :
        {Pin{markov::SteadyStateMethod::kPowerIteration, 1701,
             0x862ad74bd622d6d7ull},
-        Pin{markov::SteadyStateMethod::kGaussSeidel, 635,
-            0x3606e98d035eb9b1ull}}) {
+        Pin{markov::SteadyStateMethod::kGaussSeidel, 356,
+            0x34a7a5bc13ca74f3ull}}) {
     markov::SolveOptions opts;
     opts.method = pin.method;
     const auto r = d.steady_state(opts);
@@ -510,13 +512,12 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   EXPECT_EQ(pt[0], 0x1.a0f15a767c0b2p-3);
   EXPECT_EQ(bits_digest(pt), 0x864511e7b7efbec3ull);
 
-  // Solves above the sharding floors, pinned from the pool-based executor
-  // that ran each sweep through ThreadPool::parallel_for and searched the GS
-  // segment bounds per column per sweep.  ThreadInvariance.* compares the
-  // sharded path only with itself; these pins also catch a team or bounds
-  // bug that gives the same wrong answer at every thread count.  The tandem
-  // is design_farm32's shape: n = 1296, six shards, the last 16 columns
-  // wide.  The banded chain uses the ThreadInvariance floors.
+  // Solves above power iteration's sharding floors.  Its pins come from the
+  // pool-based executor that ran each sweep through ThreadPool::parallel_for.
+  // ThreadInvariance.* compares the sharded path only with itself; these pins
+  // also catch a team bug that gives the same wrong answer at every thread
+  // count.  The tandem is design_farm32's shape: n = 1296, six shards, the
+  // last 16 columns wide.
   const markov::Ctmc tandem = tandem_chain(36, 1.0, 1.12, 1.17);
   const markov::Dtmc banded = banded_chain(1500, 4);
   struct ShardedPin {
@@ -528,21 +529,16 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   for (const ShardedPin& pin :
        {ShardedPin{"tandem", markov::SteadyStateMethod::kPowerIteration,
                    6076, 0x5b3ade1389dd293aull},
-        ShardedPin{"tandem", markov::SteadyStateMethod::kGaussSeidel, 4069,
-                   0x03772ba74967c216ull},
+        ShardedPin{"tandem", markov::SteadyStateMethod::kGaussSeidel, 1371,
+                   0x67957425451bc34cull},
         ShardedPin{"banded", markov::SteadyStateMethod::kPowerIteration,
                    10410, 0x1f75965e547e5602ull},
-        ShardedPin{"banded", markov::SteadyStateMethod::kGaussSeidel, 2352,
-                   0x3cb0328ed0221475ull}}) {
+        ShardedPin{"banded", markov::SteadyStateMethod::kGaussSeidel, 1329,
+                   0xbe76bae942c6bf5aull}}) {
     const bool is_tandem = std::string(pin.chain) == "tandem";
     markov::SolveOptions opts;
     opts.method = pin.method;
-    if (is_tandem) {
-      opts.tolerance = 1e-10;
-    } else {
-      opts.parallel_min_states = 256;
-      opts.parallel_min_nnz = 1024;
-    }
+    if (is_tandem) opts.tolerance = 1e-10;
     for (const std::size_t t : {std::size_t{1}, std::size_t{4}}) {
       opts.threads = t;
       const auto r = is_tandem ? tandem.steady_state(opts)
@@ -600,8 +596,6 @@ TEST(ThreadInvariance, SparseSolvesBitwiseAcrossThreadCounts) {
                             markov::SteadyStateMethod::kGaussSeidel}) {
     markov::SolveOptions opts;
     opts.method = method;
-    opts.parallel_min_states = 256;
-    opts.parallel_min_nnz = 1024;
     opts.max_iterations = 3000;
 
     opts.threads = 1;
@@ -628,40 +622,16 @@ TEST(ThreadInvariance, ShardedPowerIterationMatchesSerialScatterBitwise) {
   // The gather-form sharded kernel reproduces the serial scatter per-column
   // accumulation order exactly — engaging the shards must not change a bit.
   const markov::Dtmc d = banded_chain(1500, 4);
-  markov::SolveOptions serial;
-  serial.max_iterations = 2000;
-  serial.parallel_min_states = static_cast<std::size_t>(1) << 30;  // off
-  markov::SolveOptions sharded = serial;
-  sharded.parallel_min_states = 256;
-  sharded.parallel_min_nnz = 1024;
-  sharded.threads = 4;
-  const auto a = d.steady_state(serial);
-  const auto b = d.steady_state(sharded);
+  markov::SolveOptions opts;
+  opts.max_iterations = 2000;
+  opts.threads = 4;
+  const auto a = test_support::unsharded_power_iteration(d, opts);
+  const auto b = d.steady_state(opts);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);
   ASSERT_EQ(a.distribution.size(), b.distribution.size());
   for (std::size_t i = 0; i < a.distribution.size(); ++i) {
     ASSERT_EQ(a.distribution[i], b.distribution[i]) << "state " << i;
-  }
-}
-
-TEST(ThreadInvariance, HybridGaussSeidelConvergesToSerialFixpoint) {
-  // The block-hybrid GS takes a different (but deterministic) iterate path
-  // than serial GS; both must land on the same stationary distribution.
-  const markov::Dtmc d = banded_chain(1500, 4);
-  markov::SolveOptions serial;
-  serial.method = markov::SteadyStateMethod::kGaussSeidel;
-  serial.parallel_min_states = static_cast<std::size_t>(1) << 30;  // off
-  markov::SolveOptions hybrid = serial;
-  hybrid.parallel_min_states = 256;
-  hybrid.parallel_min_nnz = 1024;
-  hybrid.threads = 4;
-  const auto a = d.steady_state(serial);
-  const auto b = d.steady_state(hybrid);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  for (std::size_t i = 0; i < a.distribution.size(); ++i) {
-    EXPECT_NEAR(a.distribution[i], b.distribution[i], 1e-8) << "state " << i;
   }
 }
 
@@ -1013,9 +983,8 @@ TestCsr random_csr(sim::Rng& rng, std::size_t ncols) {
   return m;
 }
 
-// Test-local gs_cols oracle: finds each column's segment bounds with
-// per-column std::lower_bound searches, and reduces each segment in the
-// canonical 8-lane order of exec/simd.hpp, independently of the kernels.
+// Test-local gs_sweep oracle: reduces each column in the canonical 8-lane
+// order of exec/simd.hpp, independently of the kernels.
 double lane_dot(const TestCsr& m, const std::vector<double>& x, std::size_t b,
                 std::size_t e) {
   double l[8] = {};
@@ -1028,31 +997,27 @@ double lane_dot(const TestCsr& m, const std::vector<double>& x, std::size_t b,
   return r;
 }
 
-simd::GsBounds reference_bounds(const TestCsr& m, std::size_t c,
-                                std::size_t lo, std::size_t hi) {
-  const auto b = m.srcs.begin() + static_cast<std::ptrdiff_t>(m.offsets[c]);
-  const auto e = m.srcs.begin() + static_cast<std::ptrdiff_t>(m.offsets[c + 1]);
-  const auto lo_p = std::lower_bound(b, e, static_cast<std::uint32_t>(lo));
-  const auto hi_p = std::lower_bound(lo_p, e, static_cast<std::uint32_t>(hi));
-  const auto d_p = std::lower_bound(lo_p, hi_p, static_cast<std::uint32_t>(c));
-  const bool stored = d_p != hi_p && *d_p == c;
-  return {static_cast<std::uint32_t>(lo_p - b), static_cast<std::uint32_t>(d_p - b),
-          static_cast<std::uint32_t>(d_p - b) + (stored ? 1u : 0u),
-          static_cast<std::uint32_t>(hi_p - b)};
+void reference_gs_sweep(const TestCsr& m, const std::vector<double>& denom,
+                        std::vector<double>& x, bool backward) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t c = backward ? n - 1 - i : i;
+    x[c] = lane_dot(m, x, m.offsets[c], m.offsets[c + 1]) / denom[c];
+  }
 }
 
-void reference_gs_cols(const TestCsr& m, const std::vector<double>& diag,
-                       const std::vector<double>& pi, std::vector<double>& next,
-                       std::size_t lo, std::size_t hi) {
-  for (std::size_t c = lo; c < hi; ++c) {
-    const std::size_t b = m.offsets[c], e = m.offsets[c + 1];
-    const simd::GsBounds g = reference_bounds(m, c, lo, hi);
-    const double acc = ((lane_dot(m, pi, b, b + g.lo) +
-                         lane_dot(m, next, b + g.lo, b + g.diag)) +
-                        lane_dot(m, next, b + g.diag_end, b + g.hi)) +
-                       lane_dot(m, pi, b + g.hi, e);
-    next[c] = diag[c] < 1.0 ? acc / (1.0 - diag[c]) : acc;
+// `m` without its diagonal entries, as Gauss–Seidel's transpose holds it.
+TestCsr off_diagonal(const TestCsr& m) {
+  TestCsr g;
+  for (std::size_t c = 0; c + 1 < m.offsets.size(); ++c) {
+    for (std::size_t i = m.offsets[c]; i < m.offsets[c + 1]; ++i) {
+      if (m.srcs[i] == c) continue;
+      g.srcs.push_back(m.srcs[i]);
+      g.vals.push_back(m.vals[i]);
+    }
+    g.offsets.push_back(g.srcs.size());
   }
+  return g;
 }
 
 TEST(Simd, SpmvAndGaussSeidelKernelsBitwiseIdentical) {
@@ -1062,10 +1027,9 @@ TEST(Simd, SpmvAndGaussSeidelKernelsBitwiseIdentical) {
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 199));
     const TestCsr m = random_csr(rng, n);
-    std::vector<double> x(n), pi(n), diag(n);
+    std::vector<double> x(n), pi(n);
     for (double& e : x) e = rng.uniform();
     for (double& e : pi) e = rng.uniform();
-    for (double& e : diag) e = rng.uniform(0.0, 0.9);
 
     std::vector<double> o1(n), o2(n), o3(n);
     s.spmv_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), x.data(),
@@ -1081,37 +1045,25 @@ TEST(Simd, SpmvAndGaussSeidelKernelsBitwiseIdentical) {
                 o3.data(), mid, n);
     EXPECT_EQ(o1, o3) << "sharded spmv trial " << trial;
 
-    // The full range, then random interior shards (lo > 0, hi < n) where
-    // the below-shard and above-shard segments are non-empty.
-    std::vector<std::pair<std::size_t, std::size_t>> cuts{{0, n}};
-    for (int k = 0; k < 4 && n >= 3; ++k) {
-      const auto lo = static_cast<std::size_t>(
-          rng.uniform_int(1, static_cast<std::int64_t>(n) - 2));
-      const auto hi = static_cast<std::size_t>(rng.uniform_int(
-          static_cast<std::int64_t>(lo) + 1, static_cast<std::int64_t>(n) - 1));
-      cuts.emplace_back(lo, hi);
-    }
-    std::vector<simd::GsBounds> bounds(n);
-    for (const auto& [lo, hi] : cuts) {
-      simd::gs_bounds(m.offsets.data(), m.srcs.data(), lo, hi, bounds.data());
-      for (std::size_t c = lo; c < hi; ++c) {
-        const simd::GsBounds r = reference_bounds(m, c, lo, hi);
-        ASSERT_EQ(bounds[c].lo, r.lo) << "trial " << trial << " col " << c;
-        ASSERT_EQ(bounds[c].diag, r.diag) << "trial " << trial << " col " << c;
-        ASSERT_EQ(bounds[c].diag_end, r.diag_end)
-            << "trial " << trial << " col " << c;
-        ASSERT_EQ(bounds[c].hi, r.hi) << "trial " << trial << " col " << c;
-      }
+    // Gauss–Seidel: each direction alone, then a symmetric iteration (a
+    // forward sweep, then a backward one over its result).
+    const TestCsr g = off_diagonal(m);
+    std::vector<double> denom(n);
+    for (double& e : denom) e = 1.0 - rng.uniform(0.0, 0.9);
+    using Steps = std::vector<bool>;  // `backward` per sweep, in order
+    for (const Steps& steps : {Steps{false}, Steps{true}, Steps{false, true}}) {
       std::vector<double> g1 = pi, g2 = pi, g3 = pi;
-      s.gs_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), bounds.data(),
-                diag.data(), pi.data(), g1.data(), lo, hi);
-      v.gs_cols(m.offsets.data(), m.srcs.data(), m.vals.data(), bounds.data(),
-                diag.data(), pi.data(), g2.data(), lo, hi);
-      reference_gs_cols(m, diag, pi, g3, lo, hi);
-      EXPECT_EQ(g1, g3) << "scalar gs trial " << trial << " [" << lo << ", "
-                        << hi << ")";
-      EXPECT_EQ(g2, g3) << v.name << " gs trial " << trial << " [" << lo
-                        << ", " << hi << ")";
+      for (const bool backward : steps) {
+        s.gs_sweep(g.offsets.data(), g.srcs.data(), g.vals.data(),
+                   denom.data(), g1.data(), n, backward);
+        v.gs_sweep(g.offsets.data(), g.srcs.data(), g.vals.data(),
+                   denom.data(), g2.data(), n, backward);
+        reference_gs_sweep(g, denom, g3, backward);
+      }
+      EXPECT_EQ(g1, g3) << "scalar gs trial " << trial << " sweeps "
+                        << steps.size() << " first backward " << steps[0];
+      EXPECT_EQ(g2, g3) << v.name << " gs trial " << trial << " sweeps "
+                        << steps.size() << " first backward " << steps[0];
     }
   }
 }

@@ -346,6 +346,41 @@ TEST(ExactSolve, TandemAndBandedChainsMatchDenseLu) {
   expect_exact(banded_chain(1500, 4), "banded 1500");
 }
 
+TEST(ExactSolve, IterativeSolvesMatchDirect) {
+  // The tolerance bounds the change per iteration, not the error: at 1e-10
+  // both iterative methods must still land within 1e-7 (L1) of the exact
+  // solve, above power iteration's sharding floors (n >= 1024) too.  A
+  // forward-only Gauss–Seidel sweep stalls on the even-level tandems and a
+  // backward-only one on the reversed tandem.
+  using holms::test_support::banded_chain;
+  using holms::test_support::tandem_chain;
+  auto check = [](const auto& chain, const std::string& name) {
+    const std::vector<double> exact = direct(chain);
+    for (const SteadyStateMethod m :
+         {SteadyStateMethod::kPowerIteration, SteadyStateMethod::kGaussSeidel}) {
+      SolveOptions o = method(m);
+      o.tolerance = 1e-10;
+      const SolveResult r = chain.steady_state(o);
+      const std::string what =
+          name + " method " + std::to_string(static_cast<int>(m));
+      EXPECT_TRUE(r.converged) << what;
+      EXPECT_LE(l1_distance(r.distribution, exact), 1e-7) << what;
+    }
+  };
+  for (const std::size_t levels : {8, 24, 31, 32, 33, 36}) {
+    check(tandem_chain(levels, 1.0, 1.12, 1.17),
+          "tandem " + std::to_string(levels));
+  }
+  check(tandem_chain(36, 1.0, 1.12, 1.17, true), "tandem 36 reversed");
+  Ctmc ring(10);
+  for (std::size_t i = 0; i < 10; ++i) {
+    ring.set_rate(i, (i + 1) % 10, 1.0 + 0.25 * static_cast<double>(i));
+    ring.set_rate((i + 1) % 10, i, 0.5);
+  }
+  check(ring, "ring 10");
+  check(banded_chain(1500, 4), "banded 1500");
+}
+
 TEST(ExactSolve, StoredZerosDoNotWidenTheBand) {
   // A tridiagonal chain whose rows also store explicit zeros to far states
   // solves in its narrow band, bit for bit like the chain without them.

@@ -103,8 +103,6 @@ TEST(Robust, HugeThreadCountSolvesOnOneMemberPerShard) {
                             holms::markov::SteadyStateMethod::kGaussSeidel}) {
     holms::markov::SolveOptions opts;
     opts.method = method;
-    opts.parallel_min_states = 256;
-    opts.parallel_min_nnz = 1024;
     opts.max_iterations = 200;
     opts.threads = 1;
     const auto serial = d.steady_state(opts);
