@@ -266,6 +266,15 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
   }
 }
 
+// Absolute pins of both serve paths: the wave path (FGS channel draws:
+// bernoulli and normal) and the event-driven path with MPEG-2 sessions (also
+// lognormal frame sizes).  The tests above compare reports with each other,
+// so only these catch a draw stream that moves.
+TEST(Serve, FingerprintsArePinned) {
+  EXPECT_EQ(run_fgs_only_service(1, 0.0).fingerprint(), 0xfd5622249e196ae3ULL);
+  EXPECT_EQ(run_mixed_service(1, 99).fingerprint(), 0x8783c80a0ff00ccbULL);
+}
+
 TEST(Serve, AdmissionCapRejectsBeyondMaxSessions) {
   ServeOptions o;
   o.localities = 2;
