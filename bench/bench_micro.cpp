@@ -4,9 +4,9 @@
 //
 // Custom main(): besides the google-benchmark tables, a set of hand-timed
 // headline rates (SA moves/s full vs incremental, stationary and direct
-// solve wall time, simulator events/s, fault-tolerant NoC replay cycles/s,
-// scalar-vs-SIMD kernel speedups, farm scheduling and capped-SA rates) is
-// written into
+// solve wall time, ns per random draw, simulator events/s, fault-tolerant
+// NoC replay cycles/s, scalar-vs-SIMD kernel speedups, farm scheduling and
+// capped-SA rates) is written into
 // BENCH_micro.json — the CI perf-smoke job gates those numbers against
 // bench/thresholds.json.
 #include <benchmark/benchmark.h>
@@ -33,6 +33,7 @@
 #include "noc/router.hpp"
 #include "noc/scheduling.hpp"
 #include "noc/taskgraph.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "support/chains.hpp"
 #include "support/sa_oracle.hpp"
@@ -287,6 +288,31 @@ double direct_solve_seconds() {
     benchmark::DoNotOptimize(r.distribution.data());
   }
   return best;
+}
+
+// Nanoseconds per draw on one hot stream: Rng::uniform() and normal(0, 0.08),
+// the ChannelTrace wobble every FGS slot takes.  Best of 3 runs.
+void rng_draw_metrics(holms::bench::BenchReport& report) {
+  holms::sim::Rng rng(7001);
+  double sink = 0.0;
+  const auto ns_per_draw = [&](int draws, auto draw) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < draws; ++i) sink += draw();
+      best = std::min(best, seconds_since(t0) * 1e9 / draws);
+    }
+    return best;
+  };
+  const double uniform_ns =
+      ns_per_draw(10000000, [&rng] { return rng.uniform(); });
+  const double normal_ns =
+      ns_per_draw(2000000, [&rng] { return rng.normal(0.0, 0.08); });
+  benchmark::DoNotOptimize(sink);
+  report.set("rng_uniform_ns", uniform_ns);
+  report.set("rng_normal_ns", normal_ns);
+  std::printf("-- Rng draws: uniform() %.3g ns, normal(0, 0.08) %.3g ns\n",
+              uniform_ns, normal_ns);
 }
 
 double sim_events_per_s() {
@@ -646,6 +672,8 @@ void headline_metrics(holms::bench::BenchReport& report) {
   const double direct = direct_solve_seconds();
   report.set("direct_solve_s_n4096", direct);
   std::printf("-- direct (GTH) tandem n=4096: %.3gs\n", direct);
+
+  rng_draw_metrics(report);
 
   const double events = sim_events_per_s();
   report.set("sim_events_per_s", events);

@@ -7,40 +7,74 @@
 // from one another (adding a component never perturbs another component's
 // sequence).
 //
-// HOLMS_LINT_ALLOW_FILE(D001): allowlisted RNG module — the one place std engines/distributions may live
-// Everything else must draw through sim::Rng (or exec::stream_seed for
-// parallel stream derivation); holms_lint rule D001 enforces this.
+// `Rng` owns its engine and every draw (DESIGN.md §5m): MT19937-64
+// (Nishimura, ACM TOMACS 2000) and libstdc++ 12's draw algorithms,
+// reproduced bit for bit.  The golden digests in tests/test_sim.cpp, not the
+// standard library, define the streams.  Everything else draws through
+// sim::Rng (or exec::stream_seed for parallel stream derivation); holms_lint
+// rule D001 enforces this.
 
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace holms::sim {
 
+/// A 64-bit word as a double in [0, 1): the word times 2^-64, rounded once
+/// to nearest, and 1 - 2^-53 where that rounds up to 1 — the value
+/// std::generate_canonical<double, 53> takes from a 64-bit engine.  Both
+/// halves convert exactly, so their sum is the one rounding; a plain
+/// uint64 -> double cast compiles to a branch on the sign bit, which random
+/// words mispredict half the time.
+inline double unit_double(std::uint64_t word) {
+  const double u =
+      (static_cast<double>(static_cast<std::uint32_t>(word >> 32)) * 0x1p32 +
+       static_cast<double>(static_cast<std::uint32_t>(word))) *
+      0x1p-64;
+  return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+}
+
 /// Deterministic pseudo-random stream with the named draws used across HolMS.
 ///
-/// Wraps std::mt19937_64.  All draw helpers assert their parameter
-/// preconditions; violating them is a programming error, not a runtime
-/// condition.
+/// All draw helpers assert their parameter preconditions; violating them is
+/// a programming error, not a runtime condition.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Derives an independent child stream.  The child's seed is drawn from
   /// this stream, so forking is itself reproducible.
-  Rng fork() { return Rng(engine_()); }
+  Rng fork() { return Rng(bits()); }
 
   /// Uniform real in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0) {
     assert(lo <= hi);
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return unit_double(bits()) * (hi - lo) + lo;
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive: Lemire's nearly divisionless
+  /// method (ACM TOMACS 2019), one 64x64 -> 128-bit multiply per try.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     assert(lo <= hi);
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    __extension__ typedef unsigned __int128 Wide;
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    std::uint64_t offset = 0;
+    if (span == ~std::uint64_t{0}) {
+      offset = bits();  // the full int64 range: every word is a value
+    } else {
+      const std::uint64_t range = span + 1;
+      Wide product = Wide{bits()} * range;
+      if (static_cast<std::uint64_t>(product) < range) {
+        const std::uint64_t threshold = (0 - range) % range;
+        while (static_cast<std::uint64_t>(product) < threshold) {
+          product = Wide{bits()} * range;
+        }
+      }
+      offset = static_cast<std::uint64_t>(product >> 64);
+    }
+    return static_cast<std::int64_t>(offset + static_cast<std::uint64_t>(lo));
   }
 
   /// Bernoulli trial with success probability p in [0, 1].
@@ -52,19 +86,28 @@ class Rng {
   /// Exponential with given rate (mean 1/rate).
   double exponential(double rate) {
     assert(rate > 0.0);
-    return std::exponential_distribution<double>(rate)(engine_);
+    return -std::log(1.0 - unit_double(bits())) / rate;
   }
 
-  /// Normal(mean, stddev).
+  /// Normal(mean, stddev): Marsaglia's polar method.  Of the pair one
+  /// accepted point yields, y·mult is returned and x·mult discarded.
   double normal(double mean, double stddev) {
     assert(stddev >= 0.0);
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    double x = 0.0, y = 0.0, r2 = 0.0;
+    do {
+      x = 2.0 * unit_double(bits()) - 1.0;
+      y = 2.0 * unit_double(bits()) - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    return y * mult * stddev + mean;
   }
 
-  /// Lognormal where the underlying normal has parameters (mu, sigma).
+  /// Lognormal where the underlying normal has parameters (mu, sigma).  The
+  /// unit normal is drawn as normal(0, 1), i.e. z·1 + 0, before sigma and mu.
   double lognormal(double mu, double sigma) {
     assert(sigma >= 0.0);
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+    return std::exp(sigma * normal(0.0, 1.0) + mu);
   }
 
   /// Pareto with shape alpha and scale xm (support [xm, inf)).
@@ -78,26 +121,28 @@ class Rng {
     return xm / std::pow(u, 1.0 / alpha);
   }
 
-  /// Geometric: number of failures before first success, p in (0, 1].
-  std::int64_t geometric(double p) {
-    assert(p > 0.0 && p <= 1.0);
-    return std::geometric_distribution<std::int64_t>(p)(engine_);
+  /// Raw 64-bit draw, for seeding and index shuffling: the next state word,
+  /// tempered as it is taken.
+  std::uint64_t bits() {
+    if (next_ == kStateWords) twist();
+    std::uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    z ^= z >> 43;
+    return z;
   }
-
-  /// Poisson with given mean.
-  std::int64_t poisson(double mean) {
-    assert(mean >= 0.0);
-    if (mean == 0.0) return 0;
-    return std::poisson_distribution<std::int64_t>(mean)(engine_);
-  }
-
-  /// Raw 64-bit draw, for seeding and index shuffling.
-  std::uint64_t bits() { return engine_(); }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  static constexpr std::size_t kStateWords = 312;
+
+  /// Regenerates all state words in place, in std::mt19937_64's order.
+  void twist();
+
+  // One block of untempered words, as std::mt19937_64 keeps it (2,504 B per
+  // stream); the constructor writes every word.
+  std::uint64_t state_[kStateWords];
+  std::size_t next_ = kStateWords;
 };
 
 }  // namespace holms::sim

@@ -554,7 +554,9 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   }
 }
 
-TEST(SparseSolve, IterativeSolvesMatchDirectLU) {
+// Default solves (power iteration) against kDirect, the banded GTH
+// elimination.
+TEST(SparseSolve, PowerIterationMatchesDirectGth) {
   markov::SolveOptions direct;
   direct.method = markov::SteadyStateMethod::kDirect;
   // Tridiagonal CTMC, solved through its uniformized DTMC.

@@ -23,8 +23,8 @@
 //         blocking primitive through any call chain, flagged at the
 //         outermost tainted frame with the full chain as evidence.
 //         Primitives inside their sanctioned home (layers.json
-//         `rule_homes`: sim/random.hpp for D001, exec/metrics for D002,
-//         exec/ for D005) do not taint; files listed under
+//         `rule_homes`: exec/metrics for D002, exec/ for D005; D001 has
+//         none, sim::Rng owns its draws) do not taint; files listed under
 //         `escape_boundaries` neither source nor propagate taint (the
 //         reviewed EvalCache shard locks).
 //   X002  stale suppression — a well-formed HOLMS_LINT_ALLOW[_FILE] that no

@@ -6,7 +6,7 @@
 //
 //   D-rules (determinism — the bitwise-reproducibility guarantee of §5c–§5e)
 //     D001  banned randomness primitive (std engines / distributions /
-//           rand / srand / random_device) outside the allowlisted RNG module
+//           rand / srand / random_device) in library code
 //     D002  wall-clock read (steady_clock::now, time(), ...) in library code
 //     D003  range-for iteration over an unordered container in library code
 //           (iteration order is implementation-defined -> result order isn't)
@@ -41,8 +41,8 @@
 //
 // Suppression: `// HOLMS_LINT_ALLOW(rule-id): reason` on the offending line,
 // or alone on the line directly above it.  `HOLMS_LINT_ALLOW_FILE(rule-id):
-// reason` anywhere in a file suppresses the rule for the whole file (used by
-// the allowlisted RNG module, src/sim/random.hpp).
+// reason` anywhere in a file suppresses the rule for the whole file (used
+// sparingly, e.g. by the EvalCache shards in src/core/evaluator.*).
 //
 // No libclang: the scanner tokenizes C++ (comments, string/char/raw-string
 // literals, preprocessor lines) and the rules pattern-match token sequences.

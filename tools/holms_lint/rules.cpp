@@ -118,7 +118,7 @@ void rule_d001(Pass& p) {
     if (!call_like || !p.bare_or_std(i)) continue;
     p.report("D001", t.line,
              "banned randomness primitive '" + t.text +
-                 "' outside the RNG module; draw through sim::Rng "
+                 "' in library code; draw through sim::Rng "
                  "(exec::stream_seed for parallel streams)");
   }
 }
@@ -607,7 +607,7 @@ void rule_h001(Pass& p) {
 
 const std::vector<RuleInfo>& rule_catalogue() {
   static const std::vector<RuleInfo> kRules{
-      {"D001", "banned randomness primitive outside the RNG module"},
+      {"D001", "banned randomness primitive in library code"},
       {"D002", "wall-clock read in library code"},
       {"D003", "range-for over an unordered container in library code"},
       {"D004", "mutable static at namespace scope"},
