@@ -266,6 +266,66 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
   }
 }
 
+// Sessions of mixed lengths under faults: some finish before the horizon in
+// different waves, some never do, and two localities replay a hard and a
+// soft fault.  The wave path must still complete sessions in the event
+// path's order, so the order-sensitive session statistics agree bitwise.
+ServeReport run_mixed_length_service(std::size_t threads, double horizon,
+                                     double slice_s) {
+  using holms::fault::FaultKind;
+  using holms::fault::Target;
+  static const holms::fault::FaultSchedule faults =
+      holms::fault::FaultSchedule::from_trace(
+          {{3.0, FaultKind::kFail, Target::kNode, 1},
+           {4.0, FaultKind::kSoftFail, Target::kNode, 2},
+           {9.0, FaultKind::kRepair, Target::kNode, 1},
+           {12.0, FaultKind::kScrub, Target::kNode, 2}});
+  ServeOptions o;
+  o.localities = 3;
+  o.threads = threads;
+  o.max_sessions = 90;
+  o.degrade_watermark = 0.5;
+  o.seed = 21;
+  ServiceManager m(o);
+  m.attach_fault_schedule(&faults);
+  const FgsConfig cfg;
+  const FgsPolicy policies[] = {FgsPolicy::kNonAdaptive,
+                                FgsPolicy::kClientFeedback,
+                                FgsPolicy::kGracefulDegradation};
+  const std::size_t slots[] = {0, 7, 10, 30, 50};
+  for (std::size_t i = 0; i < 90; ++i) {
+    m.add_fgs_session(policies[i % 3], cfg, slots[i % 5]);
+  }
+  return m.run(horizon, slice_s);
+}
+
+TEST(Serve, WavePathKeepsCompletionOrderUnderMixedSlotsAndFaults) {
+  const ServeReport wave = run_mixed_length_service(1, 20.0, 0.0);
+  // 41 waves fit in 20 s: the 50-slot sessions are cut off.
+  EXPECT_EQ(wave.sessions_completed, 72u);
+  EXPECT_EQ(wave.events_dispatched, 1674u);
+  EXPECT_EQ(wave.faults_in_window, 4u);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (double slice_s : {0.0, 1.0}) {
+      const ServeReport r = run_mixed_length_service(threads, 20.0, slice_s);
+      EXPECT_EQ(r.fingerprint(), wave.fingerprint())
+          << threads << " threads, slice " << slice_s;
+      EXPECT_EQ(r.sessions_completed, wave.sessions_completed);
+      EXPECT_EQ(r.events_dispatched, wave.events_dispatched);
+    }
+  }
+}
+
+// A horizon far past the last slot: the wave path stops with the longest
+// session instead of counting empty waves, and still matches the event path.
+TEST(Serve, WavePathReturnsAtOnceOnAVeryLongHorizon) {
+  const ServeReport wave = run_mixed_length_service(1, 1e12, 0.0);
+  const ServeReport des = run_mixed_length_service(1, 1e12, 1e11);
+  EXPECT_EQ(wave.sessions_completed, 90u);
+  EXPECT_EQ(wave.fingerprint(), des.fingerprint());
+  EXPECT_EQ(wave.events_dispatched, des.events_dispatched);
+}
+
 // Absolute pins of both serve paths: the wave path (FGS channel draws:
 // bernoulli and normal) and the event-driven path with MPEG-2 sessions (also
 // lognormal frame sizes).  The tests above compare reports with each other,

@@ -262,6 +262,64 @@ TEST(Rng, GoldenDigestsPinEveryStream) {
               {0xcf6223c7fcfc3d6cULL, 0x1ce6734ffd962b97ULL}, 100000);
 }
 
+// ---------- libm dependence ----------
+
+// Digest of fn over n evenly spaced points of [lo, hi].
+template <typename Fn>
+std::uint64_t libm_digest(Fn fn, double lo, double hi, int n) {
+  std::uint64_t h = 0;
+  for (int i = 0; i < n; ++i) {
+    const double x = lo + (hi - lo) * static_cast<double>(i) / (n - 1);
+    h = holms::exec::splitmix64(h ^ as_word(fn(x)));
+  }
+  return h;
+}
+
+// The draws and the slot models call std::log, exp, log2 and pow, which
+// glibc does not promise to round correctly, so the Rng digests above and
+// every fingerprint built on them hold for glibc 2.36's libm.  These pins
+// name that dependence: another libm fails here first, by function.
+TEST(Libm, PinnedDigests) {
+  auto expect_pin = [](const char* what, std::uint64_t got,
+                       std::uint64_t pin) {
+    EXPECT_EQ(got, pin) << what << ": 0x" << std::hex << got;
+  };
+  // log on (0, 1]: exponential's 1 - u and the polar normal's r2.
+  expect_pin("log (0, 1]",
+             libm_digest([](double x) { return std::log(x); }, 0x1p-20, 1.0,
+                         1 << 20),
+             0x1333b6619a300260ULL);
+  // exp over [-16, 16]: the channel's 0.08-sigma wobble and lognormal's
+  // sigma * z + mu.
+  expect_pin("exp [-16, 16]",
+             libm_digest([](double x) { return std::exp(x); }, -16.0, 16.0,
+                         1 << 20),
+             0xf8fc018225775074ULL);
+  // log2 over [1, 16]: FGS PSNR rate ratios (decoded / base layer).
+  expect_pin("log2 [1, 16]",
+             libm_digest([](double x) { return std::log2(x + 1e-12); }, 1.0,
+                         16.0, 1 << 20),
+             0x2e7583bb41b9d055ULL);
+  // pow as pareto uses it: u^(1 / alpha), u in (0, 1].
+  std::uint64_t pareto = 0;
+  for (const double alpha : {1.2, 1.5, 1.9}) {
+    pareto = holms::exec::splitmix64(
+        pareto ^ libm_digest(
+                     [alpha](double u) { return std::pow(u, 1.0 / alpha); },
+                     0x1p-20, 1.0, 1 << 18));
+  }
+  expect_pin("pow pareto", pareto, 0xbe783ec7ec6059f4ULL);
+  // pow as the Hosking autocovariance uses it: k^(2H) at integer lags.
+  std::uint64_t hosking = 0;
+  for (const double hurst : {0.55, 0.7, 0.85}) {
+    hosking = holms::exec::splitmix64(
+        hosking ^ libm_digest(
+                      [hurst](double k) { return std::pow(k, 2.0 * hurst); },
+                      0.0, 16384.0, 16385));
+  }
+  expect_pin("pow hosking", hosking, 0x47e0087f586c4f2cULL);
+}
+
 // ---------- Rng against the std oracle ----------
 
 // The oracle is libstdc++ 12, whose algorithms sim::Rng reproduces; other

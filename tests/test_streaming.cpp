@@ -2,7 +2,13 @@
 // paper §4.1.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "dvfs/dvfs.hpp"
+#include "exec/rng_stream.hpp"
+#include "fault/schedule.hpp"
 #include "streaming/fgs.hpp"
 
 namespace {
@@ -236,6 +242,109 @@ TEST(Fgs, ZeroSlotsIsWellDefined) {
       run_fgs_session(FgsPolicy::kClientFeedback, default_cfg(), cpu, tr, 0);
   EXPECT_EQ(r.slots, 0u);
   EXPECT_DOUBLE_EQ(r.client_total_energy_j, 0.0);
+}
+
+// ---------- pinned slot paths ----------
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return holms::exec::splitmix64(h ^ holms::exec::splitmix64(v));
+}
+
+std::uint64_t fold(std::uint64_t h, double v) {
+  return fold(h, std::bit_cast<std::uint64_t>(v));
+}
+
+// Every report field, bit for bit, then the client's final DVFS level.
+std::uint64_t fold_report(std::uint64_t h, const FgsReport& r,
+                          const Processor& cpu) {
+  h = fold(h, r.mean_psnr_db);
+  h = fold(h, r.min_psnr_db);
+  h = fold(h, r.client_rx_energy_j);
+  h = fold(h, r.client_cpu_energy_j);
+  h = fold(h, r.client_total_energy_j);
+  h = fold(h, r.mean_normalized_load);
+  h = fold(h, r.wasted_rx_fraction);
+  h = fold(h, static_cast<std::uint64_t>(r.base_layer_misses));
+  h = fold(h, static_cast<std::uint64_t>(r.slots));
+  h = fold(h, r.mean_loss);
+  h = fold(h, r.mean_enhancement_shed);
+  return fold(h, static_cast<std::uint64_t>(cpu.level()));
+}
+
+// A client that tops out at XScale's third operating point, so ad hoc
+// clients on one shared channel still differ.
+Processor make_slow_cpu() {
+  const std::vector<holms::dvfs::OperatingPoint> all =
+      holms::dvfs::xscale_points();
+  return Processor({all.begin(), all.begin() + 3}, holms::dvfs::PowerModel{});
+}
+
+// Absolute pins of both slot loops: one session, and ad hoc clients sharing
+// a channel.  Slot counts straddle 64, and the loss trace carries one hard
+// fail/repair and one soft fail/scrub within the first 64 slots of 0.5 s.
+// One digest per (policy, loss or none) and loop.
+TEST(FgsPaths, PinnedDigests) {
+  using holms::fault::FaultKind;
+  using holms::fault::Target;
+  const holms::fault::FaultSchedule faults =
+      holms::fault::FaultSchedule::from_trace(
+          {{3.0, FaultKind::kFail, Target::kNode, 0},
+           {11.0, FaultKind::kRepair, Target::kNode, 0},
+           {15.5, FaultKind::kSoftFail, Target::kNode, 0},
+           {27.0, FaultKind::kScrub, Target::kNode, 0}});
+  const FgsPolicy policies[3] = {FgsPolicy::kNonAdaptive,
+                                 FgsPolicy::kClientFeedback,
+                                 FgsPolicy::kGracefulDegradation};
+  // Without loss, graceful degradation sheds nothing and sends what client
+  // feedback sends, so their loss-free pins agree.
+  const std::uint64_t session_pins[3][2] = {
+      {0xa2c0791ec2317f24ULL, 0x82c3ea8be098acddULL},
+      {0xb4e4cfb0b0f9bdbfULL, 0xc583202b34effc93ULL},
+      {0xb4e4cfb0b0f9bdbfULL, 0x69020b7b8e982ce8ULL}};
+  const std::uint64_t adhoc_pins[3][2] = {
+      {0x9a70e7374e4444e9ULL, 0x25ec22c70c0280ddULL},
+      {0x5425245c29628a63ULL, 0xc5a4c8d0479393b7ULL},
+      {0x5425245c29628a63ULL, 0xa4cc3421e44a15d9ULL}};
+  const FgsConfig cfg;
+  for (int p = 0; p < 3; ++p) {
+    for (int lossy = 0; lossy < 2; ++lossy) {
+      std::uint64_t h = 0;
+      for (const std::size_t slots : {1, 63, 64, 65, 400}) {
+        Processor cpu = make_cpu();
+        ChannelTrace ch(Rng(1000 + slots));
+        SlotLossTrace loss(&faults, cfg.slot_s, 0.01, 0.3, 0.1);
+        const FgsReport r = run_fgs_session(policies[p], cfg, cpu, ch, slots,
+                                            lossy ? &loss : nullptr);
+        h = fold_report(h, r, cpu);
+      }
+      EXPECT_EQ(h, session_pins[p][lossy])
+          << "run_fgs_session, policy " << p << ", loss " << lossy << ": 0x"
+          << std::hex << h;
+
+      h = 0;
+      for (const std::size_t clients : {1, 3, 6}) {
+        for (const std::size_t slots : {0, 1, 63, 64, 65, 300}) {
+          std::vector<Processor> cpus;
+          for (std::size_t c = 0; c < clients; ++c) {
+            cpus.push_back(c % 2 ? make_slow_cpu() : make_cpu());
+          }
+          ChannelTrace ch(Rng(2000 + 7 * clients + slots));
+          SlotLossTrace loss(&faults, cfg.slot_s, 0.01, 0.3, 0.1);
+          const AdhocReport r = run_fgs_adhoc(policies[p], cfg, cpus, ch,
+                                              slots, lossy ? &loss : nullptr);
+          for (std::size_t c = 0; c < clients; ++c) {
+            h = fold_report(h, r.per_client[c], cpus[c]);
+          }
+          h = fold(h, r.total_client_energy_j);
+          h = fold(h, r.mean_psnr_db);
+          h = fold(h, r.min_psnr_db);
+        }
+      }
+      EXPECT_EQ(h, adhoc_pins[p][lossy])
+          << "run_fgs_adhoc, policy " << p << ", loss " << lossy << ": 0x"
+          << std::hex << h;
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 // (holms::traffic) — paper §3.2.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include <sstream>
 
+#include "exec/rng_stream.hpp"
 #include "sim/stats.hpp"
 #include "traffic/selfsim.hpp"
 #include "traffic/sources.hpp"
@@ -157,6 +160,17 @@ TEST(Fgn, SampleAutocorrMatchesTheory) {
   const auto xs = fgn_hosking(8192, h, rng);
   const double r1 = holms::sim::autocorrelation(xs, 1);
   EXPECT_NEAR(r1, fgn_autocovariance(h, 1), 0.08);
+}
+
+// Absolute pin of the generator's output bits.  VideoTraceGenerator draws
+// its scene process from it, so serve's MPEG-2 traces inherit these bits.
+TEST(Fgn, HoskingOutputIsPinned) {
+  Rng rng(13);
+  std::uint64_t h = 0;
+  for (const double x : fgn_hosking(16384, 0.7, rng)) {
+    h = holms::exec::splitmix64(h ^ std::bit_cast<std::uint64_t>(x));
+  }
+  EXPECT_EQ(h, 0x3e267fe53abf58bdULL) << "0x" << std::hex << h;
 }
 
 TEST(Fgn, RejectsInvalidH) {
