@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "exec/aligned.hpp"
 #include "exec/error.hpp"
 #include "exec/simd.hpp"
 
@@ -58,7 +57,7 @@ ChannelTrace::ChannelTrace(sim::Rng rng, double good_bps, double mid_bps,
                            double bad_bps)
     : rng_(rng), rates_{good_bps, mid_bps, bad_bps} {}
 
-double ChannelTrace::next_capacity_bps() {
+void ChannelTrace::advance_state() {
   // Sticky three-state Markov chain: 80% stay, 20% move to a neighbor state
   // (reflecting at the ends) — slot-scale coherence like an indoor channel.
   if (rng_.bernoulli(0.2)) {
@@ -70,8 +69,30 @@ double ChannelTrace::next_capacity_bps() {
       state_ = rng_.bernoulli(0.5) ? 0 : 2;
     }
   }
+}
+
+double ChannelTrace::next_capacity_bps() {
+  advance_state();
   // Small lognormal wobble within the state.
   return rates_[state_] * std::exp(rng_.normal(0.0, 0.08));
+}
+
+void ChannelTrace::fill_capacity_bps(std::span<double> out) {
+  // The same draws in the same order, but the log, sqrt and exp tails run
+  // after every slot has drawn, where they no longer wait on each other's
+  // draws.  (A one-slot fill is slower than next_capacity_bps(), which the
+  // DES path calls once per slot.)
+  assert(out.size() <= kSlotChunk);
+  double rate[kSlotChunk], y[kSlotChunk], r2[kSlotChunk];
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    advance_state();
+    rate[j] = rates_[state_];
+    rng_.polar_point(y[j], r2[j]);
+  }
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] =
+        rate[j] * std::exp(sim::Rng::polar_normal(y[j], r2[j], 0.0, 0.08));
+  }
 }
 
 namespace {
@@ -87,34 +108,28 @@ double psnr_at_rate(const FgsConfig& cfg, double decoded_bps) {
          cfg.psnr_gain_db_per_doubling * std::log2(ratio + 1e-12);
 }
 
-/// One session's slot work order for the batched step below.
-struct SlotInput {
-  FgsPolicy policy;
-  const FgsConfig* cfg;
-  dvfs::Processor* cpu;
-  double capacity_bps;
-  double loss;
-  FgsSlotAccum* st;
-};
-
-// Batch staging layout: kBatchFields arrays of n doubles carved out of one
+// Slot staging layout: kSlotFields arrays of k doubles carved out of one
 // buffer, in FgsSlotBatch field order (16 inputs then 8 outputs).
-constexpr std::size_t kBatchFields = 24;
+constexpr std::size_t kSlotFields = 24;
 
-/// A batch of per-client slots in three phases: (A) per-session adaptation
-/// in batch order — the DVFS level search, feedback energy debit, and input
-/// staging mutate Processor/accumulator state, so they stay scalar and
-/// ordered; (B) the slot arithmetic as one exec::simd::fgs_slots call,
-/// purely elementwise so each session's numbers are bitwise independent of
-/// the batch grouping and the ISA; (C) per-session accumulator mutations in
-/// the original process_slot order.  `buf` holds kBatchFields * n doubles,
-/// one array per FgsSlotBatch field in declaration order.
-void process_slots(std::span<const SlotInput> in, double* buf) {
-  const std::size_t n = in.size();
-  double* f[kBatchFields];
-  for (std::size_t k = 0; k < kBatchFields; ++k) f[k] = buf + k * n;
+/// k <= kSlotChunk consecutive slots of one client, in three phases.
+/// (A) In slot order: the DVFS level search and set_level, the loss-EWMA
+/// recurrence (inputs only, so it can run ahead of the slot arithmetic) and
+/// the staging of the kernel inputs.  (B) One exec::simd::fgs_slots call,
+/// purely elementwise, so each slot's numbers are bitwise independent of k
+/// and of the ISA.  (C) In slot order: the accumulator updates, with each
+/// slot's feedback debit just before its received-energy add, so every
+/// accumulator receives the same additions in the same order as one slot at
+/// a time.  `buf` holds kSlotFields * k doubles; the caller fills the first
+/// two arrays, channel capacity and loss, for each slot.  psnr_out[j] and
+/// load_out[j] receive slot j's PSNR and normalized load.
+void run_slot_chunk(FgsPolicy policy, const FgsConfig& cfg,
+                    dvfs::Processor& cpu, FgsSlotAccum& st, std::size_t k,
+                    double* buf, double* psnr_out, double* load_out) {
+  double* f[kSlotFields];
+  for (std::size_t i = 0; i < kSlotFields; ++i) f[i] = buf + i * k;
   exec::simd::FgsSlotBatch b;
-  b.n = n;
+  b.n = k;
   b.capacity_bps = f[0];
   b.loss = f[1];
   b.policy_graceful = f[2];
@@ -140,17 +155,14 @@ void process_slots(std::span<const SlotInput> in, double* buf) {
   b.load_norm = f[22];
   b.decoded_bps = f[23];
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const SlotInput& s = in[i];
-    const FgsConfig& cfg = *s.cfg;
-    dvfs::Processor& cpu = *s.cpu;
-    const double max_stream_bps = cfg.base_layer_bps + cfg.max_enhancement_bps;
-    const bool feedback = s.policy == FgsPolicy::kClientFeedback ||
-                          s.policy == FgsPolicy::kGracefulDegradation;
-
+  const double max_stream_bps = cfg.base_layer_bps + cfg.max_enhancement_bps;
+  const bool feedback = policy == FgsPolicy::kClientFeedback ||
+                        policy == FgsPolicy::kGracefulDegradation;
+  double ewma = st.loss_ewma;
+  for (std::size_t j = 0; j < k; ++j) {
     // --- client advertises its decoding aptitude ---
     if (feedback) {
-      const double expected_bps = std::min(s.capacity_bps, max_stream_bps);
+      const double expected_bps = std::min(f[0][j], max_stream_bps);
       const double needed_cycles = expected_bps * cfg.slot_s *
                                    cfg.decode_cycles_per_bit /
                                    cfg.target_normalized_load;
@@ -162,63 +174,45 @@ void process_slots(std::span<const SlotInput> in, double* buf) {
         }
       }
       cpu.set_level(lvl);
-      s.st->rx_energy_j += cfg.feedback_tx_nj * 1e-9;  // per-slot feedback
     }
-    f[0][i] = s.capacity_bps;
-    f[1][i] = s.loss;
-    f[2][i] = s.policy == FgsPolicy::kGracefulDegradation ? 1.0 : 0.0;
-    f[3][i] = s.policy == FgsPolicy::kClientFeedback ? 1.0 : 0.0;
-    f[4][i] = cpu.current().frequency_hz;
-    f[5][i] = cpu.model().total_power(cpu.current());
-    f[6][i] = max_stream_bps;
-    f[7][i] = cfg.base_layer_bps;
-    f[8][i] = cfg.slot_s;
-    f[9][i] = cfg.decode_cycles_per_bit;
-    f[10][i] = cfg.rx_nj_per_bit;
-    f[11][i] = cfg.loss_shed_gain;
-    f[12][i] = cfg.base_only_loss_threshold;
-    f[13][i] = cfg.base_fec_cap;
-    f[14][i] = cfg.max_enhancement_bps;
-    f[15][i] = s.st->loss_ewma;
+    f[2][j] = policy == FgsPolicy::kGracefulDegradation ? 1.0 : 0.0;
+    f[3][j] = policy == FgsPolicy::kClientFeedback ? 1.0 : 0.0;
+    f[4][j] = cpu.current().frequency_hz;
+    f[5][j] = cpu.model().total_power(cpu.current());
+    f[6][j] = max_stream_bps;
+    f[7][j] = cfg.base_layer_bps;
+    f[8][j] = cfg.slot_s;
+    f[9][j] = cfg.decode_cycles_per_bit;
+    f[10][j] = cfg.rx_nj_per_bit;
+    f[11][j] = cfg.loss_shed_gain;
+    f[12][j] = cfg.base_only_loss_threshold;
+    f[13][j] = cfg.base_fec_cap;
+    f[14][j] = cfg.max_enhancement_bps;
+    f[15][j] = ewma;
+    ewma = cfg.loss_ewma_alpha * f[1][j] + (1.0 - cfg.loss_ewma_alpha) * ewma;
   }
+  st.loss_ewma = ewma;
 
   exec::simd::kernels().fgs_slots(b);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const SlotInput& s = in[i];
-    const FgsConfig& cfg = *s.cfg;
-    FgsSlotAccum& st = *s.st;
-    st.rx_bits += b.rx_bits[i];
-    st.wasted_bits += b.rx_bits[i] - b.decodable_bits[i];  // incl. FEC copies
-    st.rx_energy_j += b.rx_energy_j[i];
-    st.cpu_energy_j += b.cpu_decode_energy_j[i];
-    st.cpu_energy_j += b.cpu_idle_energy_j[i];
-    st.load.add(b.load_norm[i]);
-    st.loss.add(s.loss);
-    st.shed.add(b.shed[i]);
-    const double decoded_bps = b.decoded_bps[i];
+  for (std::size_t j = 0; j < k; ++j) {
+    st.rx_bits += b.rx_bits[j];
+    st.wasted_bits += b.rx_bits[j] - b.decodable_bits[j];  // incl. FEC copies
+    if (feedback) st.rx_energy_j += cfg.feedback_tx_nj * 1e-9;  // per slot
+    st.rx_energy_j += b.rx_energy_j[j];
+    st.cpu_energy_j += b.cpu_decode_energy_j[j];
+    st.cpu_energy_j += b.cpu_idle_energy_j[j];
+    st.load.add(b.load_norm[j]);
+    st.loss.add(b.loss[j]);
+    st.shed.add(b.shed[j]);
+    const double decoded_bps = b.decoded_bps[j];
     if (decoded_bps < cfg.base_layer_bps) ++st.base_misses;
     const double psnr = psnr_at_rate(cfg, decoded_bps);
     st.psnr.add(psnr);
     st.min_psnr = std::min(st.min_psnr, psnr);
-    st.loss_ewma = cfg.loss_ewma_alpha * s.loss +
-                   (1.0 - cfg.loss_ewma_alpha) * st.loss_ewma;
-    st.last_psnr = psnr;
-    st.last_load = b.load_norm[i];
+    psnr_out[j] = psnr;
+    load_out[j] = b.load_norm[j];
   }
-}
-
-/// One client's slot under the given policy, channel share, and loss
-/// fraction: a batch of one on stack storage, so the DES per-event path
-/// stays allocation-free while sharing the exec::simd kernel with the wave
-/// scheduler's big batches (bitwise identical either way — the kernel is
-/// elementwise).
-void process_slot(FgsPolicy policy, const FgsConfig& cfg,
-                  dvfs::Processor& cpu, double capacity_bps, double loss,
-                  FgsSlotAccum& st) {
-  const SlotInput one{policy, &cfg, &cpu, capacity_bps, loss, &st};
-  double buf[kBatchFields];
-  process_slots({&one, 1}, buf);
 }
 
 FgsReport make_report(const FgsSlotAccum& st, std::size_t slots) {
@@ -239,17 +233,6 @@ FgsReport make_report(const FgsSlotAccum& st, std::size_t slots) {
 }
 
 }  // namespace
-
-struct FgsBatchScratch::Impl {
-  exec::aligned_vector<double> buf;  // kBatchFields arrays of n doubles
-  std::vector<SlotInput> inputs;
-};
-
-FgsBatchScratch::FgsBatchScratch() : impl_(std::make_unique<Impl>()) {}
-FgsBatchScratch::~FgsBatchScratch() = default;
-FgsBatchScratch::FgsBatchScratch(FgsBatchScratch&&) noexcept = default;
-FgsBatchScratch& FgsBatchScratch::operator=(FgsBatchScratch&&) noexcept =
-    default;
 
 FgsSessionFom::FgsSessionFom(FgsPolicy policy, const FgsConfig& cfg,
                              dvfs::Processor& client_cpu,
@@ -272,11 +255,13 @@ double FgsSessionFom::step() {
       phase_ = FgsFomPhase::kSlot;
       return kAgain;
     case FgsFomPhase::kSlot: {
-      // Evaluation order matters for bitwise equivalence with the original
-      // loop: the loss cursor advances before the channel draws its RNG.
-      const double l = loss_ != nullptr ? loss_->loss_for_slot(slot_) : 0.0;
-      process_slot(policy_, cfg_, cpu_, channel_.next_capacity_bps(), l,
-                   accum_);
+      // One slot on stack storage, so the DES per-event path stays
+      // allocation-free.
+      double buf[kSlotFields];
+      buf[1] = loss_ != nullptr ? loss_->loss_for_slot(slot_) : 0.0;
+      buf[0] = channel_.next_capacity_bps();
+      run_slot_chunk(policy_, cfg_, cpu_, accum_, 1, buf, &last_psnr_,
+                     &last_load_);
       ++slot_;
       if (slot_ >= slots_) {
         report_ = make_report(accum_, slots_);
@@ -291,36 +276,34 @@ double FgsSessionFom::step() {
   return kFinished;  // unreachable
 }
 
-void FgsSessionFom::step_batch(std::span<FgsSessionFom* const> sessions,
-                               FgsBatchScratch& scratch,
-                               std::span<double> delay_out) {
-  const std::size_t n = sessions.size();
-  assert(delay_out.size() >= n);
-  auto& impl = *scratch.impl_;
-  impl.buf.resize(kBatchFields * n);
-  impl.inputs.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    FgsSessionFom& f = *sessions[i];
-    assert(f.phase_ == FgsFomPhase::kSlot);
-    // Per-session order within the batch matches a DES draining the
-    // same-timestamp cohort; per session, the loss cursor advances before
-    // the channel draws its RNG (the documented kSlot contract).
-    const double l = f.loss_ != nullptr ? f.loss_->loss_for_slot(f.slot_) : 0.0;
-    impl.inputs[i] = SlotInput{f.policy_, &f.cfg_, &f.cpu_,
-                               f.channel_.next_capacity_bps(), l, &f.accum_};
-  }
-  process_slots(impl.inputs, impl.buf.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    FgsSessionFom& f = *sessions[i];
-    ++f.slot_;
-    if (f.slot_ >= f.slots_) {
-      f.report_ = make_report(f.accum_, f.slots_);
-      f.phase_ = FgsFomPhase::kDone;
-      delay_out[i] = kFinished;
-    } else {
-      delay_out[i] = f.cfg_.slot_s;
+std::size_t FgsSessionFom::run_slots(std::size_t k,
+                                     std::span<double> psnr_out,
+                                     std::span<double> load_out) {
+  assert(phase_ != FgsFomPhase::kInit);
+  if (phase_ == FgsFomPhase::kDone) return 0;
+  k = std::min(k, slots_ - slot_);
+  assert(psnr_out.size() >= k && load_out.size() >= k);
+  double buf[kSlotFields * kSlotChunk];
+  for (std::size_t ran = 0; ran < k;) {
+    const std::size_t n = std::min(kSlotChunk, k - ran);
+    for (std::size_t j = 0; j < n; ++j) {
+      buf[n + j] = loss_ != nullptr ? loss_->loss_for_slot(slot_ + j) : 0.0;
     }
+    channel_.fill_capacity_bps({buf, n});
+    run_slot_chunk(policy_, cfg_, cpu_, accum_, n, buf, &psnr_out[ran],
+                   &load_out[ran]);
+    slot_ += n;
+    ran += n;
   }
+  if (k > 0) {
+    last_psnr_ = psnr_out[k - 1];
+    last_load_ = load_out[k - 1];
+  }
+  if (slot_ >= slots_) {
+    report_ = make_report(accum_, slots_);
+    phase_ = FgsFomPhase::kDone;
+  }
+  return k;
 }
 
 const FgsReport& FgsSessionFom::report() const {
@@ -348,21 +331,25 @@ AdhocReport run_fgs_adhoc(FgsPolicy policy, const FgsConfig& cfg,
     for (auto& c : clients) c.set_level(c.num_points() - 1);
   }
   std::vector<FgsSlotAccum> states(clients.size());
-  std::vector<SlotInput> inputs(clients.size());
-  exec::aligned_vector<double> buf(kBatchFields * clients.size());
-  for (std::size_t s = 0; s < slots; ++s) {
-    // Fair medium share: every active stream gets capacity / N this slot
+  double buf[kSlotFields * kSlotChunk];
+  double slot_psnr[kSlotChunk];
+  double slot_load[kSlotChunk];
+  for (std::size_t s0 = 0; s0 < slots; s0 += kSlotChunk) {
+    // Fair medium share: every active stream gets capacity / N each slot
     // (every multimedia host also forwards/receives, §4.2 — here they all
-    // contend for the same spectrum).  The whole slot is one batched
-    // exec::simd call across the clients — bitwise identical to the old
-    // per-client loop because the kernel is elementwise.
-    const double share = shared_channel.next_capacity_bps() /
-                         static_cast<double>(clients.size());
-    const double l = loss != nullptr ? loss->loss_for_slot(s) : 0.0;
-    for (std::size_t c = 0; c < clients.size(); ++c) {
-      inputs[c] = SlotInput{policy, &cfg, &clients[c], share, l, &states[c]};
+    // contend for the same spectrum).  The chunk's shares and losses are
+    // drawn once; the clients share no state, so each then runs the chunk
+    // in turn.
+    const std::size_t n = std::min(kSlotChunk, slots - s0);
+    shared_channel.fill_capacity_bps({buf, n});
+    for (std::size_t j = 0; j < n; ++j) {
+      buf[j] /= static_cast<double>(clients.size());
+      buf[n + j] = loss != nullptr ? loss->loss_for_slot(s0 + j) : 0.0;
     }
-    process_slots(inputs, buf.data());
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      run_slot_chunk(policy, cfg, clients[c], states[c], n, buf, slot_psnr,
+                     slot_load);
+    }
   }
   rep.min_psnr_db = std::numeric_limits<double>::infinity();
   sim::OnlineStats psnr;

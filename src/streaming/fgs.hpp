@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -96,6 +95,11 @@ class SlotLossTrace {
   std::size_t scrubs_applied_ = 0;
 };
 
+/// Most consecutive slots of one client that the slot routine stages for
+/// one exec::simd::fgs_slots call.  Every FGS loop runs its slots through
+/// that routine, k <= kSlotChunk at a time; results do not depend on k.
+inline constexpr std::size_t kSlotChunk = 64;
+
 /// Markov-modulated wireless channel capacity per slot (three states).
 class ChannelTrace {
  public:
@@ -103,8 +107,13 @@ class ChannelTrace {
                double bad_bps = 0.35e6);
   /// Capacity offered in the next slot.
   double next_capacity_bps();
+  /// Capacities offered in the next out.size() <= kSlotChunk slots: what
+  /// as many next_capacity_bps() calls return, bit for bit.
+  void fill_capacity_bps(std::span<double> out);
 
  private:
+  void advance_state();
+
   sim::Rng rng_;
   double rates_[3];
   std::size_t state_ = 0;
@@ -124,10 +133,10 @@ struct FgsReport {
   double mean_enhancement_shed = 0.0;  // mean shed fraction (graceful only)
 };
 
-/// Per-slot accumulators for one client.  A detail of the slot step shared
-/// by the session state machine and the ad hoc simulation; results are read
-/// through FgsReport, but the struct lives here so FgsSessionFom can embed
-/// it without heap indirection.
+/// Per-slot accumulators for one client.  A detail of the slot routine
+/// shared by the session state machine and the ad hoc simulation; results
+/// are read through FgsReport, but the struct lives here so FgsSessionFom
+/// can embed it without heap indirection.
 struct FgsSlotAccum {
   sim::OnlineStats psnr;
   sim::OnlineStats load;
@@ -140,24 +149,6 @@ struct FgsSlotAccum {
   double min_psnr = std::numeric_limits<double>::infinity();
   std::size_t base_misses = 0;
   double loss_ewma = 0.0;  // sustained-loss estimate driving the ladder
-  double last_psnr = 0.0;  // most recent slot (serve-layer telemetry)
-  double last_load = 0.0;
-};
-
-/// Reusable SoA staging buffers for FgsSessionFom::step_batch (pimpl — the
-/// layout is a detail of fgs.cpp's exec::simd batch kernel).  One scratch
-/// per caller; capacity grows to the largest batch seen and is reused.
-class FgsBatchScratch {
- public:
-  FgsBatchScratch();
-  ~FgsBatchScratch();
-  FgsBatchScratch(FgsBatchScratch&&) noexcept;
-  FgsBatchScratch& operator=(FgsBatchScratch&&) noexcept;
-
- private:
-  friend class FgsSessionFom;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 /// Explicit phases of one streaming session, reqh/FOM style.
@@ -175,8 +166,10 @@ enum class FgsFomPhase : std::uint8_t {
 /// negative value (kFinished) once the session is done.  The FOM never
 /// blocks and holds no thread: a scheduler (serve::ServiceManager) parks it
 /// between steps as a DES event, so tens of thousands of sessions multiplex
-/// onto one locality.  The legacy one-shot run_fgs_session() below is a thin
-/// driver over this machine and produces bitwise-identical reports.
+/// onto one locality.  A scheduler that has nothing to interleave between a
+/// session's slots runs them back to back with run_slots() instead.  The
+/// one-shot run_fgs_session() below is a thin driver over this machine.
+/// Every way of driving it produces bitwise-identical reports.
 ///
 /// Holds references to the client's Processor and ChannelTrace; the FOM must
 /// not outlive them and must not move once stepping begins (sessions are
@@ -193,29 +186,29 @@ class FgsSessionFom {
   /// Runs one phase transition; see class comment for the return protocol.
   double step();
 
-  /// Steps a batch of sessions, all in phase kSlot, through one timeslot
-  /// each: per-session adaptation (loss cursor, channel draw, DVFS feedback)
-  /// runs scalar in batch order — exactly the order a DES executing the
-  /// same-timestamp cohort would use — then the slot arithmetic runs as ONE
-  /// exec::simd::fgs_slots call, and the accumulator mutations replay
-  /// per-session in the original order.  The kernel is purely elementwise,
-  /// so each session's results are bitwise identical to stepping it alone;
-  /// delay_out[i] receives what sessions[i]->step() would have returned
-  /// (cfg.slot_s or kFinished).  serve's wave scheduler uses this to batch a
-  /// locality's runnable sessions per slot.
-  static void step_batch(std::span<FgsSessionFom* const> sessions,
-                         FgsBatchScratch& scratch,
-                         std::span<double> delay_out);
+  /// Runs the next min(k, slots left) slots back to back, after the kInit
+  /// step, and returns how many ran (0 once done()).  psnr_out[j] and
+  /// load_out[j] receive slot j's PSNR and normalized load, so both need
+  /// room for k.  Bitwise what as many step() calls do: the loss cursor and
+  /// channel draws of up to kSlotChunk slots go first, then the slot
+  /// routine runs them.  serve's wave scheduler runs each session's slots
+  /// through one call, session by session, because a locality's
+  /// per-session state (Rng, CPU, accumulators) is larger than L2; it then
+  /// adds finished sessions to its statistics in the event-driven path's
+  /// completion order (completion wave, then admission index).
+  std::size_t run_slots(std::size_t k, std::span<double> psnr_out,
+                        std::span<double> load_out);
 
   bool done() const { return phase_ == FgsFomPhase::kDone; }
   FgsFomPhase phase() const { return phase_; }
+  std::size_t slots() const { return slots_; }
   std::size_t slots_done() const { return slot_; }
   double slot_s() const { return cfg_.slot_s; }
 
   /// Telemetry of the most recent completed slot (serve feeds these into
   /// its streaming quantile sketches without touching the accumulators).
-  double last_psnr_db() const { return accum_.last_psnr; }
-  double last_load() const { return accum_.last_load; }
+  double last_psnr_db() const { return last_psnr_; }
+  double last_load() const { return last_load_; }
 
   /// Valid once done(); throws RuntimeError before that.
   const FgsReport& report() const;
@@ -230,6 +223,8 @@ class FgsSessionFom {
   std::size_t slot_ = 0;
   FgsFomPhase phase_ = FgsFomPhase::kInit;
   FgsSlotAccum accum_;
+  double last_psnr_ = 0.0;
+  double last_load_ = 0.0;
   FgsReport report_;
 };
 

@@ -32,7 +32,10 @@ std::vector<double> fgn_hosking(std::size_t n, double h, sim::Rng& rng) {
   if (n == 0) return out;
 
   // Hosking's recursion maintains the partial linear-prediction coefficients
-  // phi and the innovation variance v.
+  // phi and the innovation variance v.  The O(n^2) loop reads the n
+  // autocovariances many times each, so they are computed once.
+  std::vector<double> gamma(n);
+  for (std::size_t k = 0; k < n; ++k) gamma[k] = fgn_autocovariance(h, k);
   std::vector<double> phi;     // current AR coefficients
   std::vector<double> phi_new;
   double v = 1.0;
@@ -40,9 +43,8 @@ std::vector<double> fgn_hosking(std::size_t n, double h, sim::Rng& rng) {
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t m = phi.size();  // == i - 1
     // Reflection coefficient.
-    double num = fgn_autocovariance(h, i);
-    for (std::size_t j = 0; j < m; ++j)
-      num -= phi[j] * fgn_autocovariance(h, i - 1 - j);
+    double num = gamma[i];
+    for (std::size_t j = 0; j < m; ++j) num -= phi[j] * gamma[i - 1 - j];
     const double kappa = num / v;
     phi_new.assign(m + 1, 0.0);
     phi_new[m] = kappa;

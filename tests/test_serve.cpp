@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
@@ -109,6 +110,58 @@ TEST(FgsFom, StepYieldsSlotPeriodAndExposesSlotTelemetry) {
   EXPECT_GT(fom.last_load(), 0.0);
   EXPECT_LT(fom.step(), 0.0);  // final slot -> finished
   EXPECT_TRUE(fom.done());
+}
+
+// run_slots reproduces step() bit for bit in any chunking, across chunk
+// edges and through a hard and a soft fault: every report field, the final
+// DVFS level, and every slot's PSNR and load.
+TEST(FgsFom, RunSlotsMatchesStepInAnyChunking) {
+  using holms::fault::FaultKind;
+  using holms::fault::Target;
+  const holms::fault::FaultSchedule sched =
+      holms::fault::FaultSchedule::from_trace(
+          {{10.0, FaultKind::kFail, Target::kNode, 0},
+           {30.0, FaultKind::kRepair, Target::kNode, 0},
+           {40.0, FaultKind::kSoftFail, Target::kNode, 0},
+           {70.0, FaultKind::kScrub, Target::kNode, 0}});
+  const std::size_t slots = 3 * kSlotChunk + 5;
+  for (FgsPolicy policy : {FgsPolicy::kNonAdaptive, FgsPolicy::kClientFeedback,
+                           FgsPolicy::kGracefulDegradation}) {
+    const FgsConfig cfg;
+    Processor cpu_a = make_cpu();
+    ChannelTrace ch_a(Rng(17));
+    SlotLossTrace loss_a(&sched, cfg.slot_s, 0.01, 0.35, 0.1);
+    FgsSessionFom stepped(policy, cfg, cpu_a, ch_a, slots, &loss_a);
+    std::vector<double> psnr_a, load_a;
+    stepped.step();  // kInit
+    while (!stepped.done()) {
+      stepped.step();
+      psnr_a.push_back(stepped.last_psnr_db());
+      load_a.push_back(stepped.last_load());
+    }
+
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{7}, kSlotChunk, kSlotChunk + 1, slots}) {
+      Processor cpu_b = make_cpu();
+      ChannelTrace ch_b(Rng(17));
+      SlotLossTrace loss_b(&sched, cfg.slot_s, 0.01, 0.35, 0.1);
+      FgsSessionFom fom(policy, cfg, cpu_b, ch_b, slots, &loss_b);
+      fom.step();  // kInit
+      std::vector<double> psnr(slots), load(slots);
+      std::size_t ran = 0;
+      while (!fom.done()) {
+        ran += fom.run_slots(k, std::span(psnr).subspan(ran),
+                             std::span(load).subspan(ran));
+      }
+      ASSERT_EQ(ran, slots) << "k = " << k;
+      expect_fgs_bitwise_equal(fom.report(), stepped.report());
+      EXPECT_EQ(cpu_b.level(), cpu_a.level()) << "k = " << k;
+      EXPECT_EQ(psnr, psnr_a) << "k = " << k;
+      EXPECT_EQ(load, load_a) << "k = " << k;
+      EXPECT_EQ(fom.last_psnr_db(), stepped.last_psnr_db());
+      EXPECT_EQ(fom.run_slots(k, psnr, load), 0u);  // done: a no-op
+    }
+  }
 }
 
 // ---------- MPEG-2 session FOM ----------
