@@ -327,7 +327,7 @@ ServeReport run_mixed_length_service(std::size_t threads, double horizon,
                                      double slice_s) {
   using holms::fault::FaultKind;
   using holms::fault::Target;
-  static const holms::fault::FaultSchedule faults =
+  const holms::fault::FaultSchedule faults =
       holms::fault::FaultSchedule::from_trace(
           {{3.0, FaultKind::kFail, Target::kNode, 1},
            {4.0, FaultKind::kSoftFail, Target::kNode, 2},
