@@ -40,13 +40,13 @@ inline constexpr std::size_t kLanes = 8;
 
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-/// One FGS/DVFS slot of per-session arithmetic, batched across sessions in
+/// The FGS/DVFS arithmetic of n slots, one client's consecutive slots in
 /// SoA form (streaming/fgs.cpp phase B).  Every field is an n-element array;
 /// policy_* are 1.0/0.0 masks.  The math is purely elementwise — no
-/// cross-session reduction — so batching is bitwise-neutral by construction.
+/// cross-slot reduction — so the chunk size is bitwise-neutral.
 struct FgsSlotBatch {
   std::size_t n = 0;
-  // Inputs (gathered per session by the scalar phase A).
+  // Inputs (staged per slot by the scalar phase A).
   const double* capacity_bps = nullptr;
   const double* loss = nullptr;
   const double* policy_graceful = nullptr;  // 1.0 if kGracefulDegradation
