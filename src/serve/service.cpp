@@ -267,13 +267,15 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
 // waves: every live session fires at t = 0, slot_s, 2*slot_s, ... in
 // admission order.  Sessions share no state, so rather than visit every
 // session once per wave, each session runs all its slots back to back
-// through FgsSessionFom::run_slots.  A locality's per-session state is larger
-// than L2 (a 2.5 KB Rng each, 2.5 MB per 1,024 sessions); session-major order
-// fetches it once, not once per wave.  The event count and every session's
-// arithmetic are those of the event-driven path.  The slot sketches ignore
-// insertion order; the order-sensitive session statistics are added
-// afterwards in the DES completion order, completion wave first and then
-// admission index, so the ServeReport fingerprint matches bitwise.
+// through FgsSessionFom::run_slots, kSlotChunk at a time into two stack
+// arrays, so memory does not grow with session length.  A locality's
+// per-session state is larger than L2 (a 2.5 KB Rng each, 2.5 MB per 1,024
+// sessions); session-major order fetches it once, not once per wave.  The
+// event count and every session's arithmetic are those of the event-driven
+// path.  The slot sketches ignore insertion order; the order-sensitive
+// session statistics are added afterwards in the DES completion order,
+// completion wave first and then admission index, so the ServeReport
+// fingerprint matches bitwise.
 void ServiceManager::run_locality_waves(Locality& loc, double horizon,
                                         double slot_s) {
   // t = 0: the kInit wave.  Zero-slot sessions finish here.
@@ -289,19 +291,26 @@ void ServiceManager::run_locality_waves(Locality& loc, double horizon,
   std::size_t waves = 0;
   for (double t = 0.0; waves < longest && t <= horizon; t += slot_s) ++waves;
 
-  std::vector<double> psnr(waves);
-  std::vector<double> load(waves);
   // (slots run, admission index): a session with n slots completes in wave
   // n - 1, and a zero-slot one in the kInit wave before it.
   std::vector<std::pair<std::size_t, std::size_t>> finished;
+  double psnr[streaming::kSlotChunk];
+  double load[streaming::kSlotChunk];
   for (std::size_t i = 0; i < loc.fgs.size(); ++i) {
     streaming::FgsSessionFom& fom = loc.fgs[i]->fom;
-    const std::size_t ran = fom.run_slots(waves, psnr, load);
-    loc.events += ran;
-    for (std::size_t j = 0; j < ran; ++j) {
-      loc.slot_psnr.add(psnr[j]);
-      loc.slot_load.add(load[j]);
+    std::size_t ran = 0;
+    while (ran < waves) {
+      const std::size_t n =
+          fom.run_slots(std::min(streaming::kSlotChunk, waves - ran), psnr,
+                        load);
+      if (n == 0) break;
+      for (std::size_t j = 0; j < n; ++j) {
+        loc.slot_psnr.add(psnr[j]);
+        loc.slot_load.add(load[j]);
+      }
+      ran += n;
     }
+    loc.events += ran;
     if (fom.done()) finished.emplace_back(ran, i);
   }
   std::sort(finished.begin(), finished.end());

@@ -93,26 +93,12 @@ class Rng {
   /// accepted point yields, y·mult is returned and x·mult discarded.
   double normal(double mean, double stddev) {
     assert(stddev >= 0.0);
-    double y = 0.0, r2 = 0.0;
-    polar_point(y, r2);
-    return polar_normal(y, r2, mean, stddev);
-  }
-
-  /// normal()'s draws: y and r2 = x² + y² of one accepted polar point.
-  void polar_point(double& y, double& r2) {
-    double x = 0.0;
+    double x = 0.0, y = 0.0, r2 = 0.0;
     do {
       x = 2.0 * unit_double(bits()) - 1.0;
       y = 2.0 * unit_double(bits()) - 1.0;
       r2 = x * x + y * y;
     } while (r2 > 1.0 || r2 == 0.0);
-  }
-
-  /// normal()'s tail: the variate of an accepted point.  Split from the
-  /// draws so a caller can draw a block of points first and run the libm
-  /// tails afterwards, where they no longer wait on each other's draws.
-  static double polar_normal(double y, double r2, double mean,
-                             double stddev) {
     const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
     return y * mult * stddev + mean;
   }

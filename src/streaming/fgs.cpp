@@ -1,7 +1,6 @@
 #include "streaming/fgs.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -57,7 +56,7 @@ ChannelTrace::ChannelTrace(sim::Rng rng, double good_bps, double mid_bps,
                            double bad_bps)
     : rng_(rng), rates_{good_bps, mid_bps, bad_bps} {}
 
-void ChannelTrace::advance_state() {
+double ChannelTrace::next_capacity_bps() {
   // Sticky three-state Markov chain: 80% stay, 20% move to a neighbor state
   // (reflecting at the ends) — slot-scale coherence like an indoor channel.
   if (rng_.bernoulli(0.2)) {
@@ -69,30 +68,8 @@ void ChannelTrace::advance_state() {
       state_ = rng_.bernoulli(0.5) ? 0 : 2;
     }
   }
-}
-
-double ChannelTrace::next_capacity_bps() {
-  advance_state();
   // Small lognormal wobble within the state.
   return rates_[state_] * std::exp(rng_.normal(0.0, 0.08));
-}
-
-void ChannelTrace::fill_capacity_bps(std::span<double> out) {
-  // The same draws in the same order, but the log, sqrt and exp tails run
-  // after every slot has drawn, where they no longer wait on each other's
-  // draws.  (A one-slot fill is slower than next_capacity_bps(), which the
-  // DES path calls once per slot.)
-  assert(out.size() <= kSlotChunk);
-  double rate[kSlotChunk], y[kSlotChunk], r2[kSlotChunk];
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    advance_state();
-    rate[j] = rates_[state_];
-    rng_.polar_point(y[j], r2[j]);
-  }
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] =
-        rate[j] * std::exp(sim::Rng::polar_normal(y[j], r2[j], 0.0, 0.08));
-  }
 }
 
 namespace {
@@ -279,17 +256,22 @@ double FgsSessionFom::step() {
 std::size_t FgsSessionFom::run_slots(std::size_t k,
                                      std::span<double> psnr_out,
                                      std::span<double> load_out) {
-  assert(phase_ != FgsFomPhase::kInit);
+  if (phase_ == FgsFomPhase::kInit) {
+    throw holms::RuntimeError("FgsSessionFom: run_slots() before kInit step");
+  }
   if (phase_ == FgsFomPhase::kDone) return 0;
   k = std::min(k, slots_ - slot_);
-  assert(psnr_out.size() >= k && load_out.size() >= k);
+  if (psnr_out.size() < k || load_out.size() < k) {
+    throw holms::InvalidArgument(
+        "FgsSessionFom::run_slots: psnr_out and load_out need room for k");
+  }
   double buf[kSlotFields * kSlotChunk];
   for (std::size_t ran = 0; ran < k;) {
     const std::size_t n = std::min(kSlotChunk, k - ran);
     for (std::size_t j = 0; j < n; ++j) {
       buf[n + j] = loss_ != nullptr ? loss_->loss_for_slot(slot_ + j) : 0.0;
+      buf[j] = channel_.next_capacity_bps();
     }
-    channel_.fill_capacity_bps({buf, n});
     run_slot_chunk(policy_, cfg_, cpu_, accum_, n, buf, &psnr_out[ran],
                    &load_out[ran]);
     slot_ += n;
@@ -341,9 +323,9 @@ AdhocReport run_fgs_adhoc(FgsPolicy policy, const FgsConfig& cfg,
     // drawn once; the clients share no state, so each then runs the chunk
     // in turn.
     const std::size_t n = std::min(kSlotChunk, slots - s0);
-    shared_channel.fill_capacity_bps({buf, n});
     for (std::size_t j = 0; j < n; ++j) {
-      buf[j] /= static_cast<double>(clients.size());
+      buf[j] = shared_channel.next_capacity_bps() /
+               static_cast<double>(clients.size());
       buf[n + j] = loss != nullptr ? loss->loss_for_slot(s0 + j) : 0.0;
     }
     for (std::size_t c = 0; c < clients.size(); ++c) {

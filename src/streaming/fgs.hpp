@@ -107,13 +107,8 @@ class ChannelTrace {
                double bad_bps = 0.35e6);
   /// Capacity offered in the next slot.
   double next_capacity_bps();
-  /// Capacities offered in the next out.size() <= kSlotChunk slots: what
-  /// as many next_capacity_bps() calls return, bit for bit.
-  void fill_capacity_bps(std::span<double> out);
 
  private:
-  void advance_state();
-
   sim::Rng rng_;
   double rates_[3];
   std::size_t state_ = 0;
@@ -188,11 +183,13 @@ class FgsSessionFom {
 
   /// Runs the next min(k, slots left) slots back to back, after the kInit
   /// step, and returns how many ran (0 once done()).  psnr_out[j] and
-  /// load_out[j] receive slot j's PSNR and normalized load, so both need
-  /// room for k.  Bitwise what as many step() calls do: the loss cursor and
-  /// channel draws of up to kSlotChunk slots go first, then the slot
-  /// routine runs them.  serve's wave scheduler runs each session's slots
-  /// through one call, session by session, because a locality's
+  /// load_out[j] receive slot j's PSNR and normalized load.  Throws
+  /// RuntimeError before the kInit step, and InvalidArgument, running
+  /// nothing, if either span is shorter than the slots it would run.
+  /// Bitwise what as many step() calls do: the loss cursor and channel
+  /// draws of up to kSlotChunk slots go first, then the slot routine runs
+  /// them.  serve's wave scheduler runs each session's slots back to back,
+  /// kSlotChunk per call, session by session, because a locality's
   /// per-session state (Rng, CPU, accumulators) is larger than L2; it then
   /// adds finished sessions to its statistics in the event-driven path's
   /// completion order (completion wave, then admission index).

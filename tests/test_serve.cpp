@@ -164,6 +164,26 @@ TEST(FgsFom, RunSlotsMatchesStepInAnyChunking) {
   }
 }
 
+// run_slots refuses to run before the kInit step and to write past its
+// output spans; a refused call changes nothing.
+TEST(FgsFom, RunSlotsChecksPhaseAndOutputRoom) {
+  const FgsConfig cfg;
+  Processor cpu = make_cpu();
+  ChannelTrace ch(Rng(3));
+  FgsSessionFom fom(FgsPolicy::kClientFeedback, cfg, cpu, ch, 10);
+  std::vector<double> psnr(10), load(10);
+  EXPECT_THROW(fom.run_slots(4, psnr, load), holms::RuntimeError);
+  fom.step();  // kInit
+  EXPECT_THROW(fom.run_slots(4, std::span(psnr).first(3), load),
+               holms::InvalidArgument);
+  EXPECT_THROW(fom.run_slots(4, psnr, std::span(load).first(3)),
+               holms::InvalidArgument);
+  EXPECT_EQ(fom.slots_done(), 0u);
+  // Room for what is left is enough, however large k is.
+  EXPECT_EQ(fom.run_slots(std::size_t{1} << 40, psnr, load), 10u);
+  EXPECT_TRUE(fom.done());
+}
+
 // ---------- MPEG-2 session FOM ----------
 
 TEST(Mpeg2Fom, ExternalSimulatorSessionMatchesLegacyBitwise) {
@@ -377,6 +397,42 @@ TEST(Serve, WavePathReturnsAtOnceOnAVeryLongHorizon) {
   EXPECT_EQ(wave.sessions_completed, 90u);
   EXPECT_EQ(wave.fingerprint(), des.fingerprint());
   EXPECT_EQ(wave.events_dispatched, des.events_dispatched);
+}
+
+// One session far longer than kSlotChunk beside short ones: the wave path
+// runs it chunk after chunk, up to a horizon that cuts it mid-chunk and past
+// its end, and must match the event path both times.
+ServeReport run_long_session_service(double horizon, double slice_s) {
+  ServeOptions o;
+  o.localities = 1;
+  o.threads = 1;
+  o.max_sessions = 4;
+  o.seed = 5;
+  ServiceManager m(o);
+  const FgsConfig cfg;
+  m.add_fgs_session(FgsPolicy::kGracefulDegradation, cfg, 20000);
+  m.add_fgs_session(FgsPolicy::kClientFeedback, cfg, 5);
+  m.add_fgs_session(FgsPolicy::kNonAdaptive, cfg, 0);
+  m.add_fgs_session(FgsPolicy::kClientFeedback, cfg, 3 * kSlotChunk + 1);
+  return m.run(horizon, slice_s);
+}
+
+TEST(Serve, WavePathRunsAVeryLongSessionInChunks) {
+  // 5000 s at 0.5-s slots is 10,001 waves: 156 chunks and 17 slots.
+  const double horizons[] = {5000.0, 1e7};
+  const std::uint64_t events[] = {4 + 10001 + 5 + 193, 4 + 20000 + 5 + 193};
+  const std::size_t completed[] = {3, 4};
+  for (int h = 0; h < 2; ++h) {
+    const ServeReport wave = run_long_session_service(horizons[h], 0.0);
+    const ServeReport des =
+        run_long_session_service(horizons[h], horizons[h] / 10);
+    EXPECT_EQ(wave.events_dispatched, events[h]) << "horizon " << horizons[h];
+    EXPECT_EQ(wave.sessions_completed, completed[h]);
+    EXPECT_EQ(wave.slot_psnr_db.count(), events[h] - 4);
+    EXPECT_EQ(wave.fingerprint(), des.fingerprint());
+    EXPECT_EQ(wave.events_dispatched, des.events_dispatched);
+    EXPECT_EQ(wave.sessions_completed, des.sessions_completed);
+  }
 }
 
 // Absolute pins of both serve paths: the wave path (FGS channel draws:

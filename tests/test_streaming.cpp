@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
@@ -101,25 +100,6 @@ TEST(ChannelTrace, CapacitiesPositiveAndVarying) {
 // ---------- FGS session ----------
 
 FgsConfig default_cfg() { return FgsConfig{}; }
-
-// A chunk of capacities is the next_capacity_bps() sequence, bit for bit,
-// whatever the chunk lengths.
-TEST(ChannelTrace, FillMatchesNextCapacityBitwise) {
-  ChannelTrace one(Rng(31));
-  std::vector<double> expected(300);
-  for (double& c : expected) c = one.next_capacity_bps();
-
-  ChannelTrace chunked(Rng(31));
-  std::vector<double> got(300);
-  std::size_t at = 0;
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, kSlotChunk,
-                              std::size_t{0}, kSlotChunk, std::size_t{63}}) {
-    chunked.fill_capacity_bps(std::span(got).subspan(at, n));
-    at += n;
-  }
-  while (at < got.size()) got[at++] = chunked.next_capacity_bps();
-  EXPECT_EQ(got, expected);
-}
 
 TEST(Fgs, FeedbackKeepsNormalizedLoadNearUnity) {
   // The headline mechanism of [28]: normalized decoding load pinned at 1.
