@@ -10,6 +10,7 @@
 //   serve_concurrent_sessions  >= 10000  (admitted sessions in the fleet)
 //   serve_thread_invariant     >= 1.0    (threads=1 fp == threads=hw fp)
 //   serve_bitwise_reproducible >= 1.0    (repeat run fp identical)
+//   serve_paths_agree          >= 1.0    (sliced run fp == unsliced fp)
 //   serve_events_per_s         >= 3e5    (sustained FOM steps per second)
 #include <chrono>
 #include <cstdint>
@@ -127,6 +128,8 @@ int main() {
   // Each locality pauses every 5 simulated seconds; the observer converts
   // (wall elapsed / events dispatched) per slice into microseconds per event
   // and feeds a quantile sketch.  Serial execution keeps the timing clean.
+  // Slicing sends every session through the DES, while the unsliced runs
+  // above run the FGS sessions session-major: the two paths must agree.
   {
     holms::sim::QuantileSketch lat_us(1e-3, 1e4, 32);
     std::vector<std::uint64_t> prev_events(16, 0);
@@ -141,7 +144,8 @@ int main() {
       prev_events[li] = events;
       prev_wall = now;
     };
-    make_fleet(1)->run(fleet_horizon(), 5.0, observer);
+    const ServeReport sliced_run =
+        make_fleet(1)->run(fleet_horizon(), 5.0, observer);
     std::printf(
         "dispatch latency per FOM step: p50 %.3f us, p99 %.3f us, "
         "p999 %.3f us (%zu slices)\n",
@@ -149,6 +153,10 @@ int main() {
     report.set("serve_event_p50_us", lat_us.p50());
     report.set("serve_event_p99_us", lat_us.p99());
     report.set("serve_event_p999_us", lat_us.p999());
+    const bool agree = sliced_run.fingerprint() == serial_run.fingerprint();
+    holms::bench::note(agree ? "sliced (DES) run matches the unsliced run"
+                             : "SLICED (DES) RUN DIVERGED");
+    report.set("serve_paths_agree", agree ? 1.0 : 0.0);
   }
 
   // --- load shedding: watermark + node faults drive the graceful ladder ---

@@ -176,6 +176,7 @@ void ServiceManager::attach_fault_schedule(
 std::size_t ServiceManager::add_fgs_session(streaming::FgsPolicy policy,
                                             const streaming::FgsConfig& cfg,
                                             std::size_t slots) {
+  cfg.validate();
   ++offered_;
   if (admitted_ >= opt_.max_sessions) {
     ++rejected_;
@@ -261,11 +262,11 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
   loc.sim.schedule_at(when, [this, &loc, &s] { pump_mpeg2(loc, s); });
 }
 
-// Wave scheduler: the homogeneous-FGS fast path.  When a locality hosts only
-// FGS sessions with one common slot length and nothing observes intermediate
-// time (no slicing, no dispatch quantum), the DES degenerates to lockstep
-// waves: every live session fires at t = 0, slot_s, 2*slot_s, ... in
-// admission order.  Sessions share no state, so rather than visit every
+// Wave scheduler: the session-major FGS path.  When a locality's FGS
+// sessions share one slot length and nothing observes intermediate time (no
+// slicing, no dispatch quantum), their events in the DES degenerate to
+// lockstep waves: every live session fires at t = 0, slot_s, 2*slot_s, ...
+// in admission order.  Sessions share no state, so rather than visit every
 // session once per wave, each session runs all its slots back to back
 // through FgsSessionFom::run_slots, kSlotChunk at a time into two stack
 // arrays, so memory does not grow with session length.  A locality's
@@ -275,7 +276,11 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
 // path.  The slot sketches ignore insertion order; the order-sensitive
 // session statistics are added afterwards in the DES completion order,
 // completion wave first and then admission index, so the ServeReport
-// fingerprint matches bitwise.
+// fingerprint matches bitwise.  MPEG-2 sessions on the same locality stay in
+// the DES: they share only the integer event and completion counts with the
+// FGS sessions, feed statistics of their own, and no FGS event schedules
+// one of theirs, so their events keep their relative order without the FGS
+// events between them.
 void ServiceManager::run_locality_waves(Locality& loc, double horizon,
                                         double slot_s) {
   // t = 0: the kInit wave.  Zero-slot sessions finish here.
@@ -322,24 +327,22 @@ void ServiceManager::run_locality_waves(Locality& loc, double horizon,
 void ServiceManager::run_locality(Locality& loc, std::size_t index,
                                   double horizon, double slice_s,
                                   const SliceObserver& observer) {
-  if (slice_s <= 0.0 && opt_.dispatch_quantum_s <= 0.0 && loc.mpeg2.empty() &&
-      !loc.fgs.empty()) {
-    const double slot_s = loc.fgs.front()->fom.slot_s();
-    bool uniform = slot_s > 0.0;
-    for (const std::unique_ptr<FgsSession>& s : loc.fgs) {
-      uniform = uniform && s->fom.slot_s() == slot_s;
-    }
-    if (uniform) {
-      run_locality_waves(loc, horizon, slot_s);
-      return;
-    }
+  bool session_major = slice_s <= 0.0 && opt_.dispatch_quantum_s <= 0.0 &&
+                       !loc.fgs.empty();
+  const double slot_s = session_major ? loc.fgs.front()->fom.slot_s() : 0.0;
+  for (const std::unique_ptr<FgsSession>& s : loc.fgs) {
+    session_major = session_major && s->fom.slot_s() == slot_s;
   }
-  // Arm every session's first step at t=0 in admission order; the kernel's
-  // same-timestamp batching then dispatches each wave of aligned slots as
-  // one cohort in insertion order.
-  for (std::unique_ptr<FgsSession>& s : loc.fgs) {
-    FgsSession* p = s.get();
-    loc.sim.schedule_at(0.0, [this, &loc, p] { pump_fgs(loc, *p); });
+  if (session_major) {
+    run_locality_waves(loc, horizon, slot_s);
+  } else {
+    // Arm every FGS session's first step at t=0 in admission order; the
+    // kernel's same-timestamp batching then dispatches each wave of aligned
+    // slots as one cohort in insertion order.
+    for (std::unique_ptr<FgsSession>& s : loc.fgs) {
+      FgsSession* p = s.get();
+      loc.sim.schedule_at(0.0, [this, &loc, p] { pump_fgs(loc, *p); });
+    }
   }
   for (std::unique_ptr<Mpeg2Session>& s : loc.mpeg2) {
     Mpeg2Session* p = s.get();

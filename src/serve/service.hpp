@@ -104,6 +104,7 @@ class ServiceManager {
   /// Admits one FGS session of `slots` timeslots; returns its id, or
   /// kRejected when the admission cap is reached.  Above the degrade
   /// watermark the session is forced onto FgsPolicy::kGracefulDegradation.
+  /// Throws InvalidArgument (FgsConfig::validate) before counting the offer.
   std::size_t add_fgs_session(streaming::FgsPolicy policy,
                               const streaming::FgsConfig& cfg,
                               std::size_t slots);

@@ -10,6 +10,31 @@
 
 namespace holms::streaming {
 
+void FgsConfig::validate() const {
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!positive(slot_s)) {
+    throw holms::InvalidArgument("FgsConfig: slot_s must be finite and > 0");
+  }
+  if (!positive(base_layer_bps) || !positive(target_normalized_load)) {
+    throw holms::InvalidArgument(
+        "FgsConfig: base_layer_bps and target_normalized_load must be "
+        "finite and > 0");
+  }
+  if (!(loss_ewma_alpha >= 0.0 && loss_ewma_alpha <= 1.0)) {
+    throw holms::InvalidArgument(
+        "FgsConfig: loss_ewma_alpha must be in [0, 1]");
+  }
+  for (const double v :
+       {max_enhancement_bps, decode_cycles_per_bit, rx_nj_per_bit,
+        feedback_tx_nj, psnr_base_db, psnr_gain_db_per_doubling,
+        loss_shed_gain, base_only_loss_threshold, base_fec_cap}) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      throw holms::InvalidArgument(
+          "FgsConfig: rates, energies and gains must be finite and >= 0");
+    }
+  }
+}
+
 SlotLossTrace::SlotLossTrace(const fault::FaultSchedule* schedule,
                              double slot_s, double nominal_loss,
                              double faulty_loss, double soft_loss)
@@ -216,7 +241,9 @@ FgsSessionFom::FgsSessionFom(FgsPolicy policy, const FgsConfig& cfg,
                              ChannelTrace& channel, std::size_t slots,
                              SlotLossTrace* loss)
     : policy_(policy), cfg_(cfg), cpu_(client_cpu), channel_(channel),
-      loss_(loss), slots_(slots) {}
+      loss_(loss), slots_(slots) {
+  cfg_.validate();
+}
 
 double FgsSessionFom::step() {
   switch (phase_) {
@@ -307,6 +334,7 @@ AdhocReport run_fgs_adhoc(FgsPolicy policy, const FgsConfig& cfg,
                           std::vector<dvfs::Processor>& clients,
                           ChannelTrace& shared_channel, std::size_t slots,
                           SlotLossTrace* loss) {
+  cfg.validate();
   AdhocReport rep;
   if (clients.empty()) return rep;
   if (policy == FgsPolicy::kNonAdaptive) {

@@ -63,6 +63,13 @@ struct FgsConfig {
   double loss_shed_gain = 2.0;
   double base_only_loss_threshold = 0.5;
   double base_fec_cap = 1.0;
+
+  /// Throws InvalidArgument unless slot_s and the two divisors
+  /// (base_layer_bps, target_normalized_load) are finite and > 0,
+  /// loss_ewma_alpha is in [0, 1], and every other field is finite and
+  /// >= 0.  A NaN slot length would stall a DES run; a negative one reads
+  /// as the step protocol's "finished".
+  void validate() const;
 };
 
 /// Per-slot packet-loss fraction derived from a shared FaultSchedule (event
@@ -168,7 +175,8 @@ enum class FgsFomPhase : std::uint8_t {
 ///
 /// Holds references to the client's Processor and ChannelTrace; the FOM must
 /// not outlive them and must not move once stepping begins (sessions are
-/// heap-pinned by the service layer).
+/// heap-pinned by the service layer).  The constructor throws
+/// InvalidArgument for a config that FgsConfig::validate rejects.
 class FgsSessionFom {
  public:
   static constexpr double kAgain = 0.0;
@@ -244,6 +252,7 @@ struct AdhocReport {
   double min_psnr_db = 0.0;
 };
 
+/// Throws InvalidArgument for a config that FgsConfig::validate rejects.
 AdhocReport run_fgs_adhoc(FgsPolicy policy, const FgsConfig& cfg,
                           std::vector<dvfs::Processor>& clients,
                           ChannelTrace& shared_channel, std::size_t slots,

@@ -3,7 +3,9 @@
 // admission control, and fault-driven load shedding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <span>
@@ -11,6 +13,7 @@
 
 #include "dvfs/dvfs.hpp"
 #include "exec/error.hpp"
+#include "exec/metrics.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/schedule.hpp"
 #include "serve/service.hpp"
@@ -435,6 +438,127 @@ TEST(Serve, WavePathRunsAVeryLongSessionInChunks) {
   }
 }
 
+// Mixed localities: FGS sessions of several lengths (0, under and over
+// kSlotChunk, and long) beside MPEG-2 decoder networks on every locality,
+// under a hard and a soft node fault.  Unsliced, the FGS sessions run
+// session-major and the DES carries only the MPEG-2 sessions; sliced, every
+// session is a DES event.  The 900-slot sessions complete inside the
+// horizon; the 2000-slot ones are cut mid-chunk by it.
+constexpr std::size_t kMixedFgsSessions = 45;
+constexpr std::size_t kMixedSlots[] = {0, 9, kSlotChunk + 3, 900, 2000};
+constexpr double kMixedHorizon = 600.0;  // 1201 waves at 0.5-s slots
+
+holms::fault::FaultSchedule hard_and_soft_node_faults() {
+  using holms::fault::FaultKind;
+  using holms::fault::Target;
+  return holms::fault::FaultSchedule::from_trace(
+      {{3.0, FaultKind::kFail, Target::kNode, 0},
+       {5.0, FaultKind::kSoftFail, Target::kNode, 1},
+       {40.0, FaultKind::kRepair, Target::kNode, 0},
+       {90.0, FaultKind::kScrub, Target::kNode, 1}});
+}
+
+ServeReport run_mixed_locality_service(std::size_t threads, double slice_s) {
+  ServeOptions o;
+  o.localities = 4;
+  o.threads = threads;
+  o.max_sessions = 64;
+  o.degrade_watermark = 0.5;
+  o.seed = 33;
+  ServiceManager m(o);
+  const holms::fault::FaultSchedule faults = hard_and_soft_node_faults();
+  m.attach_fault_schedule(&faults);
+  const FgsConfig cfg;
+  const FgsPolicy policies[] = {FgsPolicy::kNonAdaptive,
+                                FgsPolicy::kClientFeedback,
+                                FgsPolicy::kGracefulDegradation};
+  for (std::size_t i = 0; i < kMixedFgsSessions; ++i) {
+    m.add_fgs_session(policies[i % 3], cfg, kMixedSlots[i % 5]);
+  }
+  const holms::stream::Mpeg2Config mcfg;
+  const holms::traffic::VideoTraceGenerator::Params vp;
+  for (std::size_t i = 0; i < 6; ++i) {
+    m.add_mpeg2_session(mcfg, vp, 40);  // on localities 1, 2, 3, 0, 1, 2
+  }
+  return m.run(kMixedHorizon, slice_s);
+}
+
+// Runs the mixed-locality service and returns the events its DES kernels
+// executed: FOM steps plus the MPEG-2 decoder networks' own events.
+std::uint64_t des_events(std::size_t threads, double slice_s,
+                         ServeReport& out) {
+  holms::exec::MetricsRegistry reg;
+  const holms::exec::ScopedMetricsSink sink(reg);
+  out = run_mixed_locality_service(threads, slice_s);
+  return reg.counter("sim.events_executed").value();
+}
+
+// One FGS session beside one MPEG-2 session on a locality under the hard
+// fault.  The report's session energy is then that one session's: a
+// per-session digest.  A fleet-wide sum over dozens of sessions can round
+// away a last-bit difference in one of them (a reordered addition in the
+// slot routine's energy accumulators moves a 900-slot session by ~1e-12 J).
+double lone_session_energy(FgsPolicy policy, std::size_t slots,
+                           double slice_s) {
+  ServeOptions o;
+  o.localities = 1;
+  o.threads = 1;
+  o.seed = 33;
+  ServiceManager m(o);
+  const holms::fault::FaultSchedule faults = hard_and_soft_node_faults();
+  m.attach_fault_schedule(&faults);
+  m.add_fgs_session(policy, FgsConfig{}, slots);
+  m.add_mpeg2_session(holms::stream::Mpeg2Config{},
+                      holms::traffic::VideoTraceGenerator::Params{}, 40);
+  const ServeReport r = m.run(kMixedHorizon, slice_s);
+  EXPECT_EQ(r.sessions_completed, 2u);
+  return r.session_energy_j.sum();
+}
+
+TEST(Serve, MixedLocalitiesRunFgsSessionMajorBesideMpeg2Bitwise) {
+  ServeReport ref;
+  ServeReport sliced;
+  const std::uint64_t ref_des = des_events(1, 0.0, ref);
+  const std::uint64_t sliced_des = des_events(1, 7.0, sliced);
+  // Every FGS session but the cut 2000-slot ones completes, and so does
+  // every MPEG-2 session.
+  EXPECT_EQ(ref.sessions_completed, kMixedFgsSessions / 5 * 4 + 6);
+  std::size_t fgs_slots = 0;
+  for (const std::size_t n : kMixedSlots) {
+    fgs_slots += kMixedFgsSessions / 5 * std::min<std::size_t>(n, 1201);
+  }
+  EXPECT_EQ(ref.slot_psnr_db.count(), fgs_slots);
+  EXPECT_EQ(ref.faults_in_window, 4u);
+  EXPECT_GT(ref.mpeg2_frames_out, 0u);
+  EXPECT_GT(ref.session_shed.max(), 0.0);
+  // Unsliced, each FGS session's kInit step and slots ran session-major and
+  // the DES carried only the MPEG-2 events; sliced, it carried all of them.
+  EXPECT_EQ(sliced_des - ref_des, kMixedFgsSessions + fgs_slots);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const double slice_s : {0.0, 7.0}) {
+      const ServeReport r = run_mixed_locality_service(threads, slice_s);
+      EXPECT_EQ(r.fingerprint(), ref.fingerprint())
+          << threads << " threads, slice " << slice_s;
+      EXPECT_EQ(r.events_dispatched, ref.events_dispatched);
+      EXPECT_EQ(r.sessions_completed, ref.sessions_completed);
+      EXPECT_EQ(r.session_energy_j.sum(), ref.session_energy_j.sum());
+      EXPECT_EQ(r.mpeg2_frame_latency.sum(), ref.mpeg2_frame_latency.sum());
+    }
+  }
+
+  for (const FgsPolicy policy :
+       {FgsPolicy::kNonAdaptive, FgsPolicy::kClientFeedback,
+        FgsPolicy::kGracefulDegradation}) {
+    for (const std::size_t slots : {kSlotChunk + 3, std::size_t{900}}) {
+      EXPECT_EQ(lone_session_energy(policy, slots, 0.0),
+                lone_session_energy(policy, slots, 7.0))
+          << "policy " << static_cast<int>(policy) << ", " << slots
+          << " slots";
+    }
+  }
+}
+
 // Absolute pins of both serve paths: the wave path (FGS channel draws:
 // bernoulli and normal) and the event-driven path with MPEG-2 sessions (also
 // lognormal frame sizes).  The tests above compare reports with each other,
@@ -550,6 +674,30 @@ TEST(Serve, DispatchQuantumBatchesStepsAndRecordsLag) {
   EXPECT_EQ(coarse.sessions_completed, 10u);
   // Quantized dispatch is still deterministic.
   EXPECT_EQ(run_with_quantum(0.75).fingerprint(), coarse.fingerprint());
+}
+
+// An FGS slot length that is NaN, negative, zero or infinite never reaches a
+// locality: add_fgs_session throws before it counts the offer, so run()
+// neither stalls on a NaN event time nor fails on a slot in the past.
+TEST(Serve, AdmissionRejectsInvalidSlotLengthsBeforeCountingTheOffer) {
+  ServeOptions o;
+  o.localities = 2;
+  o.threads = 1;
+  ServiceManager m(o);
+  m.add_fgs_session(FgsPolicy::kClientFeedback, FgsConfig{}, 4);
+  for (const double slot_s : {std::numeric_limits<double>::quiet_NaN(), -0.5,
+                              0.0, std::numeric_limits<double>::infinity()}) {
+    FgsConfig cfg;
+    cfg.slot_s = slot_s;
+    EXPECT_THROW(m.add_fgs_session(FgsPolicy::kClientFeedback, cfg, 4),
+                 holms::InvalidArgument)
+        << slot_s;
+  }
+  EXPECT_EQ(m.active_sessions(), 1u);
+  const ServeReport r = m.run(5.0);
+  EXPECT_EQ(r.sessions_offered, 1u);
+  EXPECT_EQ(r.sessions_rejected, 0u);
+  EXPECT_EQ(r.sessions_completed, 1u);
 }
 
 TEST(Serve, ValidatesOptionsAndIsOneShot) {

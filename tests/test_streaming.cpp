@@ -4,9 +4,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
+#include "exec/error.hpp"
 #include "exec/rng_stream.hpp"
 #include "fault/schedule.hpp"
 #include "streaming/fgs.hpp"
@@ -242,6 +244,58 @@ TEST(Fgs, ZeroSlotsIsWellDefined) {
       run_fgs_session(FgsPolicy::kClientFeedback, default_cfg(), cpu, tr, 0);
   EXPECT_EQ(r.slots, 0u);
   EXPECT_DOUBLE_EQ(r.client_total_energy_j, 0.0);
+}
+
+// A slot length that is NaN, negative, zero or infinite has no timeslot
+// meaning: the session machine and the ad hoc runner refuse it up front.
+TEST(FgsConfig, RejectsSlotLengthsThatAreNotFinitePositive) {
+  EXPECT_NO_THROW(FgsConfig{}.validate());
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double slot_s : {kNan, -0.5, 0.0, kInf}) {
+    FgsConfig cfg;
+    cfg.slot_s = slot_s;
+    EXPECT_THROW(cfg.validate(), holms::InvalidArgument) << slot_s;
+    Processor cpu = make_cpu();
+    ChannelTrace tr(Rng(4));
+    EXPECT_THROW(FgsSessionFom(FgsPolicy::kClientFeedback, cfg, cpu, tr, 10),
+                 holms::InvalidArgument)
+        << slot_s;
+    std::vector<Processor> clients{make_cpu(), make_cpu()};
+    EXPECT_THROW(
+        run_fgs_adhoc(FgsPolicy::kClientFeedback, cfg, clients, tr, 10),
+        holms::InvalidArgument)
+        << slot_s;
+  }
+}
+
+TEST(FgsConfig, RejectsDivisorsGainsAndEnergiesOutOfRange) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](void (*edit)(FgsConfig&)) {
+    FgsConfig cfg;
+    edit(cfg);
+    try {
+      cfg.validate();
+    } catch (const holms::InvalidArgument&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects([](FgsConfig& c) { c.base_layer_bps = 0.0; }));
+  EXPECT_TRUE(rejects([](FgsConfig& c) { c.target_normalized_load = 0.0; }));
+  EXPECT_TRUE(rejects([](FgsConfig& c) { c.loss_ewma_alpha = 1.5; }));
+  EXPECT_TRUE(rejects([](FgsConfig& c) { c.loss_ewma_alpha = -0.1; }));
+  EXPECT_TRUE(rejects([](FgsConfig& c) { c.rx_nj_per_bit = -1.0; }));
+  EXPECT_TRUE(rejects([](FgsConfig& c) { c.feedback_tx_nj = kNan; }));
+  EXPECT_TRUE(rejects([](FgsConfig& c) {
+    c.max_enhancement_bps = std::numeric_limits<double>::infinity();
+  }));
+  EXPECT_TRUE(
+      rejects([](FgsConfig& c) { c.psnr_gain_db_per_doubling = -2.8; }));
+  // The ends of the closed ranges are valid.
+  EXPECT_FALSE(rejects([](FgsConfig& c) { c.loss_ewma_alpha = 1.0; }));
+  EXPECT_FALSE(rejects([](FgsConfig& c) { c.feedback_tx_nj = 0.0; }));
+  EXPECT_FALSE(rejects([](FgsConfig& c) { c.max_enhancement_bps = 0.0; }));
 }
 
 // ---------- pinned slot paths ----------
