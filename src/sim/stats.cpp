@@ -138,6 +138,12 @@ QuantileSketch::QuantileSketch(double min_value, double max_value,
         "QuantileSketch requires 0 < min_value, max_value > 2*min_value and "
         "sub_buckets > 0");
   }
+  // bucket_for divides every in-range sample by min_value; the largest
+  // finite one is the double just below max_value.
+  if (std::isinf(std::nextafter(max_value, 0.0) / min_value)) {
+    throw holms::InvalidArgument(
+        "QuantileSketch: x / min_value overflows for x below max_value");
+  }
   // Octave count by exact doubling: no std::log2, so the layout is identical
   // on every platform for the same arguments.
   octaves_ = 0;
@@ -147,23 +153,6 @@ QuantileSketch::QuantileSketch(double min_value, double max_value,
     throw holms::InvalidArgument("QuantileSketch layout too large");
   }
   counts_.assign(n, 0);
-}
-
-std::size_t QuantileSketch::bucket_for(double x) const {
-  if (!(x >= min_value_)) return 0;  // underflow (and NaN)
-  if (x >= max_value_) return counts_.size() - 1;
-  // Exact exponent extraction instead of log2: ilogb/scalbn are integer
-  // operations on the exponent field, so bucket choice never depends on
-  // libm rounding.
-  const double m = x / min_value_;  // >= 1 by construction
-  const int oct = std::ilogb(m);
-  const double frac = std::scalbn(m, -oct);  // in [1, 2)
-  std::size_t sub = static_cast<std::size_t>((frac - 1.0) *
-                                             static_cast<double>(sub_buckets_));
-  sub = std::min(sub, sub_buckets_ - 1);
-  const std::size_t idx =
-      1 + static_cast<std::size_t>(oct) * sub_buckets_ + sub;
-  return std::min(idx, counts_.size() - 2);
 }
 
 double QuantileSketch::bucket_lo(std::size_t i) const {
@@ -186,17 +175,6 @@ double QuantileSketch::bucket_hi(std::size_t i) const {
   return std::scalbn(min_value_, static_cast<int>(oct)) *
          (1.0 +
           static_cast<double>(sub + 1) / static_cast<double>(sub_buckets_));
-}
-
-void QuantileSketch::add(double x) {
-  if (total_ == 0) {
-    seen_min_ = seen_max_ = x;
-  } else {
-    seen_min_ = std::min(seen_min_, x);
-    seen_max_ = std::max(seen_max_, x);
-  }
-  ++counts_[bucket_for(x)];
-  ++total_;
 }
 
 double QuantileSketch::quantile(double p) const {

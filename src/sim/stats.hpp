@@ -13,6 +13,8 @@
 //   - batch-means CI     confidence intervals for correlated DES output
 //   - autocorrelation    used to distinguish short- vs long-range dependence
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -107,10 +109,22 @@ class Histogram {
 /// ~1/sub_buckets of the value.
 class QuantileSketch {
  public:
+  /// Throws InvalidArgument unless 0 < min_value, max_value > 2*min_value,
+  /// sub_buckets > 0, and x / min_value is finite for every finite x below
+  /// max_value (so bucket_for never sees an infinite ratio).
   QuantileSketch(double min_value, double max_value,
                  std::size_t sub_buckets = 16);
 
-  void add(double x);
+  void add(double x) {
+    if (total_ == 0) {
+      seen_min_ = seen_max_ = x;
+    } else {
+      seen_min_ = std::min(seen_min_, x);
+      seen_max_ = std::max(seen_max_, x);
+    }
+    ++counts_[bucket_for(x)];
+    ++total_;
+  }
   std::size_t count() const { return total_; }
   /// Empirical p-quantile (p in [0,1]), linear within the containing bucket
   /// and clamped to the exact observed [min, max].  0 when empty.
@@ -132,7 +146,24 @@ class QuantileSketch {
   std::size_t buckets() const { return counts_.size(); }
 
  private:
-  std::size_t bucket_for(double x) const;
+  std::size_t bucket_for(double x) const {
+    if (!(x >= min_value_)) return 0;  // underflow (and NaN)
+    if (x >= max_value_) return counts_.size() - 1;
+    // The octave and in-octave fraction come from the bits of m: it is a
+    // finite double >= 1 (the constructor's layout rule), hence normal, so
+    // its biased exponent - 1023 is exactly ilogb(m) and its mantissa under
+    // exponent 1023 is exactly scalbn(m, -ilogb(m)), in [1, 2).  Bucket
+    // choice is integer work on the exponent field, never libm rounding.
+    const auto bits = std::bit_cast<std::uint64_t>(x / min_value_);
+    constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+    const std::size_t oct = static_cast<std::size_t>(bits >> 52) - 1023;
+    const double frac =
+        std::bit_cast<double>((bits & kMantissa) | (std::uint64_t{1023} << 52));
+    std::size_t sub = static_cast<std::size_t>(
+        (frac - 1.0) * static_cast<double>(sub_buckets_));
+    sub = std::min(sub, sub_buckets_ - 1);
+    return std::min(1 + oct * sub_buckets_ + sub, counts_.size() - 2);
+  }
   double bucket_lo(std::size_t i) const;
   double bucket_hi(std::size_t i) const;
 
