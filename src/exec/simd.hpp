@@ -41,27 +41,29 @@ inline constexpr std::size_t kLanes = 8;
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
 /// The FGS/DVFS arithmetic of n slots, one client's consecutive slots in
-/// SoA form (streaming/fgs.cpp phase B).  Every field is an n-element array;
-/// policy_* are 1.0/0.0 masks.  The math is purely elementwise — no
-/// cross-slot reduction — so the chunk size is bitwise-neutral.
+/// SoA form (streaming/fgs.cpp phase B).  The per-session inputs are
+/// scalars, broadcast once per call; the per-slot inputs and the outputs
+/// are n-element arrays.  The math is purely elementwise — no cross-slot
+/// reduction — so the chunk size is bitwise-neutral.
 struct FgsSlotBatch {
   std::size_t n = 0;
-  // Inputs (staged per slot by the scalar phase A).
+  // Per-session inputs: the same in every slot of a call.
+  bool policy_graceful = false;  // kGracefulDegradation
+  bool policy_feedback = false;  // kClientFeedback
+  double max_stream_bps = 0.0;
+  double base_layer_bps = 0.0;
+  double slot_s = 0.0;
+  double decode_cycles_per_bit = 0.0;
+  double rx_nj_per_bit = 0.0;
+  double loss_shed_gain = 0.0;
+  double base_only_loss_threshold = 0.0;
+  double base_fec_cap = 0.0;
+  double max_enhancement_bps = 0.0;
+  // Per-slot inputs (staged by the scalar phase A).
   const double* capacity_bps = nullptr;
   const double* loss = nullptr;
-  const double* policy_graceful = nullptr;  // 1.0 if kGracefulDegradation
-  const double* policy_feedback = nullptr;  // 1.0 if kClientFeedback
-  const double* freq_hz = nullptr;          // post-DVFS operating point
+  const double* freq_hz = nullptr;  // post-DVFS operating point
   const double* total_power_w = nullptr;
-  const double* max_stream_bps = nullptr;
-  const double* base_layer_bps = nullptr;
-  const double* slot_s = nullptr;
-  const double* decode_cycles_per_bit = nullptr;
-  const double* rx_nj_per_bit = nullptr;
-  const double* loss_shed_gain = nullptr;
-  const double* base_only_loss_threshold = nullptr;
-  const double* base_fec_cap = nullptr;
-  const double* max_enhancement_bps = nullptr;
   const double* loss_ewma = nullptr;
   // Outputs (consumed by the scalar phase C in the original mutation order).
   double* shed = nullptr;

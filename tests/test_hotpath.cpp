@@ -1121,66 +1121,60 @@ TEST(Simd, MaxKernelMatchesStdMaxElement) {
   }
 }
 
+// Each policy runs every batch length n = 1..37 (the 8-lane body and every
+// tail length), with the per-session scalars drawn afresh for each trial.
 TEST(Simd, FgsSlotKernelBitwiseIdenticalAcrossPolicies) {
   const simd::Kernels& s = simd::kernels_for(simd::Isa::kScalar);
   const simd::Kernels& v = simd::kernels_for(simd::best_isa());
   sim::Rng rng(13);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 36));
-    auto mk = [&](double lo, double hi) {
-      std::vector<double> r(n);
-      for (double& e : r) e = rng.uniform(lo, hi);
-      return r;
-    };
-    auto cap = mk(1e5, 8e6), loss = mk(0.0, 0.6), fr = mk(1e8, 1e9);
-    auto pw = mk(0.3, 2.0), ms = mk(1e6, 6e6), bl = mk(2e5, 1e6);
-    auto sl = mk(0.01, 0.1), dc = mk(0.5, 3.0), nj = mk(1.0, 20.0);
-    auto g = mk(0.5, 3.0), th = mk(0.3, 0.7), fc = mk(0.1, 0.8);
-    auto me = mk(1e5, 4e6), ew = mk(0.0, 0.9);
-    std::vector<double> pg(n), pf(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t p = rng.uniform_int(0, 2);  // all three policies
-      pg[i] = p == 0 ? 1.0 : 0.0;
-      pf[i] = p == 1 ? 1.0 : 0.0;
-    }
-    std::array<std::vector<double>, 8> out_s, out_v;
-    for (auto& o : out_s) o.assign(n, 0.0);
-    for (auto& o : out_v) o.assign(n, 0.0);
-    auto bind = [&](std::array<std::vector<double>, 8>& o) {
-      simd::FgsSlotBatch t{};
-      t.n = n;
-      t.capacity_bps = cap.data();
-      t.loss = loss.data();
-      t.policy_graceful = pg.data();
-      t.policy_feedback = pf.data();
-      t.freq_hz = fr.data();
-      t.total_power_w = pw.data();
-      t.max_stream_bps = ms.data();
-      t.base_layer_bps = bl.data();
-      t.slot_s = sl.data();
-      t.decode_cycles_per_bit = dc.data();
-      t.rx_nj_per_bit = nj.data();
-      t.loss_shed_gain = g.data();
-      t.base_only_loss_threshold = th.data();
-      t.base_fec_cap = fc.data();
-      t.max_enhancement_bps = me.data();
-      t.loss_ewma = ew.data();
-      t.shed = o[0].data();
-      t.rx_bits = o[1].data();
-      t.decodable_bits = o[2].data();
-      t.rx_energy_j = o[3].data();
-      t.cpu_decode_energy_j = o[4].data();
-      t.cpu_idle_energy_j = o[5].data();
-      t.load_norm = o[6].data();
-      t.decoded_bps = o[7].data();
-      return t;
-    };
-    const simd::FgsSlotBatch ts = bind(out_s);
-    s.fgs_slots(ts);
-    const simd::FgsSlotBatch tv = bind(out_v);
-    v.fgs_slots(tv);
-    for (std::size_t f = 0; f < out_s.size(); ++f) {
-      EXPECT_EQ(out_s[f], out_v[f]) << "field " << f << " trial " << trial;
+  for (int policy = 0; policy < 3; ++policy) {
+    for (std::size_t n = 1; n <= 37; ++n) {
+      auto mk = [&](double lo, double hi) {
+        std::vector<double> r(n);
+        for (double& e : r) e = rng.uniform(lo, hi);
+        return r;
+      };
+      auto cap = mk(1e5, 8e6), loss = mk(0.0, 0.6), fr = mk(1e8, 1e9);
+      auto pw = mk(0.3, 2.0), ew = mk(0.0, 0.9);
+      simd::FgsSlotBatch in{};
+      in.n = n;
+      in.policy_graceful = policy == 0;
+      in.policy_feedback = policy == 1;
+      in.max_stream_bps = rng.uniform(1e6, 6e6);
+      in.base_layer_bps = rng.uniform(2e5, 1e6);
+      in.slot_s = rng.uniform(0.01, 0.1);
+      in.decode_cycles_per_bit = rng.uniform(0.5, 3.0);
+      in.rx_nj_per_bit = rng.uniform(1.0, 20.0);
+      in.loss_shed_gain = rng.uniform(0.5, 3.0);
+      in.base_only_loss_threshold = rng.uniform(0.3, 0.7);
+      in.base_fec_cap = rng.uniform(0.1, 0.8);
+      in.max_enhancement_bps = rng.uniform(1e5, 4e6);
+      in.capacity_bps = cap.data();
+      in.loss = loss.data();
+      in.freq_hz = fr.data();
+      in.total_power_w = pw.data();
+      in.loss_ewma = ew.data();
+      std::array<std::vector<double>, 8> out_s, out_v;
+      for (auto& o : out_s) o.assign(n, 0.0);
+      for (auto& o : out_v) o.assign(n, 0.0);
+      auto bind = [&](std::array<std::vector<double>, 8>& o) {
+        simd::FgsSlotBatch t = in;
+        t.shed = o[0].data();
+        t.rx_bits = o[1].data();
+        t.decodable_bits = o[2].data();
+        t.rx_energy_j = o[3].data();
+        t.cpu_decode_energy_j = o[4].data();
+        t.cpu_idle_energy_j = o[5].data();
+        t.load_norm = o[6].data();
+        t.decoded_bps = o[7].data();
+        return t;
+      };
+      s.fgs_slots(bind(out_s));
+      v.fgs_slots(bind(out_v));
+      for (std::size_t f = 0; f < out_s.size(); ++f) {
+        EXPECT_EQ(out_s[f], out_v[f])
+            << "field " << f << " policy " << policy << " n " << n;
+      }
     }
   }
 }
