@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include "exec/error.hpp"
 #include "exec/metrics.hpp"
 
 namespace holms::sim {
@@ -43,6 +44,11 @@ void EventPoolCache::park(
   if (slabs.size() > slabs_.size()) slabs_ = std::move(slabs);
   high_water_ = std::max(high_water_, slabs_.size());
   exec::observe("sim.pool_high_water", static_cast<double>(high_water_));
+}
+
+void Simulator::reject_time() const {
+  throw holms::InvalidArgument(
+      "Simulator: event time is NaN or before now()");
 }
 
 void Simulator::cancel(EventId id) {

@@ -18,7 +18,6 @@
 // the inline buffer fall back to one heap allocation for that event only).
 // See DESIGN.md §5d for the lifetime rules.
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -59,12 +58,13 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
-  /// Schedules `fn` at absolute time `when` (must be >= now()).  Any
-  /// callable with signature void() is accepted; it is moved into the event
-  /// pool directly (no std::function wrapping).
+  /// Schedules `fn` at absolute time `when`.  Any callable with signature
+  /// void() is accepted; it is moved into the event pool directly (no
+  /// std::function wrapping).  Throws InvalidArgument, scheduling nothing,
+  /// unless when >= now(): a NaN time would stall run() forever.
   template <typename Fn>
   EventId schedule_at(Time when, Fn&& fn) {
-    assert(when >= now_ && "cannot schedule in the past");
+    if (!(when >= now_)) [[unlikely]] reject_time();
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t slot_idx = emplace_callback(std::forward<Fn>(fn));
     queue_.push(Entry{when, seq, slot_idx});
@@ -73,7 +73,8 @@ class Simulator {
     return EventId{seq};
   }
 
-  /// Schedules `fn` `delay` time units from now (delay >= 0).
+  /// Schedules `fn` `delay` time units from now (delay >= 0; throws like
+  /// schedule_at otherwise).
   template <typename Fn>
   EventId schedule_in(Time delay, Fn&& fn) {
     return schedule_at(now_ + delay, std::forward<Fn>(fn));
@@ -138,6 +139,10 @@ class Simulator {
   };
 
   Slot& slot(std::uint32_t i) { return slabs_[i / kSlabSize][i % kSlabSize]; }
+
+  /// schedule_at's error path, out of line so the inlined template stays
+  /// small.
+  [[noreturn]] void reject_time() const;
 
   std::uint32_t acquire_slot() {
     if (free_head_ != kNoSlot) {
