@@ -4,9 +4,10 @@
 //
 // Custom main(): besides the google-benchmark tables, a set of hand-timed
 // headline rates (SA moves/s full vs incremental, stationary and direct
-// solve wall time, ns per random draw, simulator events/s, fault-tolerant
-// NoC replay cycles/s, scalar-vs-SIMD kernel speedups, farm scheduling and
-// capped-SA rates) is written into
+// solve wall time, ns per random draw, ns per FGS slot and per quantile-
+// sketch add, simulator events/s, fault-tolerant NoC replay cycles/s,
+// scalar-vs-SIMD kernel speedups, farm scheduling and capped-SA rates) is
+// written into
 // BENCH_micro.json — the CI perf-smoke job gates those numbers against
 // bench/thresholds.json.
 #include <benchmark/benchmark.h>
@@ -14,15 +15,18 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "asip/kernels.hpp"
 #include "bench_util.hpp"
 #include "core/evaluator.hpp"
 #include "core/platform.hpp"
+#include "dvfs/dvfs.hpp"
 #include "exec/aligned.hpp"
 #include "exec/simd.hpp"
 #include "fault/schedule.hpp"
@@ -35,6 +39,8 @@
 #include "noc/taskgraph.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats.hpp"
+#include "streaming/fgs.hpp"
 #include "support/chains.hpp"
 #include "support/sa_oracle.hpp"
 #include "traffic/selfsim.hpp"
@@ -330,6 +336,65 @@ void rng_draw_metrics(holms::bench::BenchReport& report) {
   report.set("rng_normal_ns", normal_ns);
   std::printf("-- Rng draws: uniform() %.3g ns, normal(0, 0.08) %.3g ns\n",
               uniform_ns, normal_ns);
+}
+
+// Nanoseconds per FGS slot: one hot kGracefulDegradation session under a
+// SlotLossTrace of link fail/repair faults, driven as serve's wave path
+// drives it (run_slots, kSlotChunk slots per call).  Best of 3 sessions.
+double fgs_slot_ns() {
+  namespace st = holms::streaming;
+  constexpr std::size_t kSlots = 1000000;
+  const st::FgsConfig cfg;
+  holms::fault::FaultSchedule::PoissonSpec spec;
+  spec.num_targets = 4;
+  spec.fail_rate = 1e-3;
+  spec.repair_rate = 1e-2;
+  spec.horizon = static_cast<double>(kSlots) * cfg.slot_s;
+  const auto faults = holms::fault::FaultSchedule::poisson(23, spec);
+  double psnr[st::kSlotChunk];
+  double load[st::kSlotChunk];
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 4; ++rep) {  // rep 0 warms caches and predictors
+    holms::dvfs::Processor cpu(holms::dvfs::xscale_points(),
+                               holms::dvfs::PowerModel{});
+    st::ChannelTrace channel(holms::sim::Rng(7001));
+    st::SlotLossTrace loss(&faults, cfg.slot_s);
+    st::FgsSessionFom fom(st::FgsPolicy::kGracefulDegradation, cfg, cpu,
+                          channel, kSlots, &loss);
+    fom.step();  // kInit
+    const auto t0 = std::chrono::steady_clock::now();
+    while (fom.run_slots(st::kSlotChunk, psnr, load) > 0) {
+    }
+    const double ns = seconds_since(t0) * 1e9 / static_cast<double>(kSlots);
+    benchmark::DoNotOptimize(fom.report().mean_psnr_db);
+    if (rep > 0) best = std::min(best, ns);
+  }
+  return best;
+}
+
+// Nanoseconds per QuantileSketch::add on serve's slot-load layout
+// (1e-3, 64, 32) over a fixed log-uniform stream of 2^16 values, fed 64
+// times.  Best of 3.
+double sketch_add_ns() {
+  holms::sim::Rng rng(11);
+  std::vector<double> xs(std::size_t{1} << 16);
+  for (double& x : xs) {
+    x = 1e-3 * std::ldexp(1.0 + rng.uniform(),
+                          static_cast<int>(rng.uniform_int(-1, 16)));
+  }
+  constexpr int kPasses = 64;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    holms::sim::QuantileSketch sketch(1e-3, 64.0, 32);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (const double x : xs) sketch.add(x);
+    }
+    best = std::min(best, seconds_since(t0) * 1e9 /
+                              static_cast<double>(kPasses * xs.size()));
+    benchmark::DoNotOptimize(sketch.fingerprint());
+  }
+  return best;
 }
 
 double sim_events_per_s() {
@@ -690,6 +755,13 @@ void headline_metrics(holms::bench::BenchReport& report) {
   std::printf("-- direct (GTH) tandem n=4096: %.3gs\n", direct);
 
   rng_draw_metrics(report);
+
+  const double slot_ns = fgs_slot_ns();
+  const double add_ns = sketch_add_ns();
+  report.set("fgs_slot_ns", slot_ns);
+  report.set("sketch_add_ns", add_ns);
+  std::printf("-- FGS slot (graceful, run_slots): %.3g ns; sketch add: %.3g "
+              "ns\n", slot_ns, add_ns);
 
   const double events = sim_events_per_s();
   report.set("sim_events_per_s", events);
