@@ -14,9 +14,13 @@
 // — and any tail elements (n % 8) are folded in sequentially AFTER the lane
 // combine.  The scalar fallback emulates the same 8 chains and the same
 // combine tree, so `HOLMS_SIMD=off`, AVX2 and NEON builds produce bitwise
-// identical results.  Elementwise operations (add/mul/div/min/max/blend)
-// are IEEE-identical per lane on every ISA; the kernel translation units are
-// compiled with -ffp-contract=off so no backend fuses a*b+c into an FMA.
+// identical results.  Elementwise operations (add/mul/div/sqrt/min/max/
+// blend, 64-bit integer and bit-cast ops) are IEEE-identical per lane on
+// every ISA.  The kernel translation units are compiled with
+// -ffp-contract=off, so no backend fuses a*b+c implicitly; the only fused
+// operations are the explicit ones of the owned exp and log
+// (simd_libm.inc), placed exactly where glibc 2.36's FMA builds fuse.  A
+// fused multiply-add rounds once on every ISA, so those too are identical.
 //
 // min/max use the SSE/AVX minpd/maxpd convention: min(a,b) = a < b ? a : b
 // (second operand on ties/NaN).  For the non-negative quantities these
@@ -118,6 +122,22 @@ struct Kernels {
   double (*max)(const double* x, std::size_t n);
   /// Batched FGS slot arithmetic (see FgsSlotBatch).
   void (*fgs_slots)(const FgsSlotBatch& b);
+  /// out[i] = exp(x[i]) and out[i] = log(x[i]), bit for bit what glibc
+  /// 2.36's FMA variants (__ieee754_exp_fma, __ieee754_log_fma) return, on
+  /// every input and every ISA; errno is not set.
+  void (*exp)(const double* x, double* out, std::size_t n);
+  void (*log)(const double* x, double* out, std::size_t n);
+  /// out[i] = sim::unit_double of MT19937-64's tempering of words[i]: the
+  /// uniforms that untempered state words become, for chunked readers of
+  /// one sim::Rng stream.
+  void (*unit_doubles)(const std::uint64_t* words, double* out,
+                       std::size_t n);
+  /// out[i] = scale[i] * exp(y[i] * sqrt(-2 log(r2[i]) / r2[i]) * sigma +
+  /// mu): the tail of Marsaglia's polar normal, as sim::Rng::normal spells
+  /// it, under a lognormal scale; exp and log are the ones above.
+  void (*polar_lognormal)(const double* y, const double* r2,
+                          const double* scale, std::size_t n, double mu,
+                          double sigma, double* out);
 };
 
 /// The process-wide kernel table: HOLMS_SIMD env + CPU detection, resolved
@@ -128,7 +148,8 @@ const Kernels& kernels();
 /// compiled in or the CPU lacks it.  For tests and benches.
 const Kernels& kernels_for(Isa isa);
 
-/// True when `isa`'s kernels were compiled in and the CPU supports them.
+/// True when `isa`'s kernels were compiled in and the CPU supports them
+/// (AVX2 needs FMA as well).
 bool isa_available(Isa isa);
 
 /// The ISA "auto" resolves to on this machine.

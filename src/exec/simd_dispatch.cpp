@@ -30,7 +30,8 @@ bool isa_available(Isa isa) {
       return true;
     case Isa::kAvx2:
 #if defined(HOLMS_SIMD_HAVE_AVX2)
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("fma") != 0;
 #else
       return false;
 #endif

@@ -83,7 +83,7 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
 
 void Histogram::add(double x) {
   std::size_t idx;
-  if (x < lo_) {
+  if (!(x >= lo_)) {  // below the range, or NaN (as QuantileSketch does)
     idx = 0;
   } else if (x >= hi_) {
     idx = counts_.size() - 1;

@@ -5,10 +5,17 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 #include "exec/error.hpp"
 #include "exec/rng_stream.hpp"
+#include "exec/simd.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -281,16 +288,33 @@ TEST(Rng, GoldenDigestsPinEveryStream) {
 
 // ---------- libm dependence ----------
 
+// n evenly spaced points of [lo, hi].
+std::vector<double> grid(double lo, double hi, int n) {
+  std::vector<double> x(n);
+  for (int i = 0; i < n; ++i) {
+    x[i] = lo + (hi - lo) * static_cast<double>(i) / (n - 1);
+  }
+  return x;
+}
+
+std::uint64_t digest(std::span<const double> y) {
+  std::uint64_t h = 0;
+  for (const double v : y) h = holms::exec::splitmix64(h ^ as_word(v));
+  return h;
+}
+
 // Digest of fn over n evenly spaced points of [lo, hi].
 template <typename Fn>
 std::uint64_t libm_digest(Fn fn, double lo, double hi, int n) {
-  std::uint64_t h = 0;
-  for (int i = 0; i < n; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) / (n - 1);
-    h = holms::exec::splitmix64(h ^ as_word(fn(x)));
-  }
-  return h;
+  std::vector<double> y = grid(lo, hi, n);
+  for (double& v : y) v = fn(v);
+  return digest(y);
 }
+
+// glibc 2.36's log over 2^20 points of [2^-20, 1] and exp over 2^20 points
+// of [-16, 16]; the owned exp and log of exec::simd reproduce both.
+constexpr std::uint64_t kLogGridPin = 0x1333b6619a300260ULL;
+constexpr std::uint64_t kExpGridPin = 0xf8fc018225775074ULL;
 
 // The draws and the slot models call std::log, exp, log2 and pow, which
 // glibc does not promise to round correctly, so the Rng digests above and
@@ -305,13 +329,13 @@ TEST(Libm, PinnedDigests) {
   expect_pin("log (0, 1]",
              libm_digest([](double x) { return std::log(x); }, 0x1p-20, 1.0,
                          1 << 20),
-             0x1333b6619a300260ULL);
+             kLogGridPin);
   // exp over [-16, 16]: the channel's 0.08-sigma wobble and lognormal's
   // sigma * z + mu.
   expect_pin("exp [-16, 16]",
              libm_digest([](double x) { return std::exp(x); }, -16.0, 16.0,
                          1 << 20),
-             0xf8fc018225775074ULL);
+             kExpGridPin);
   // log2 over [1, 16]: FGS PSNR rate ratios (decoded / base layer).
   expect_pin("log2 [1, 16]",
              libm_digest([](double x) { return std::log2(x + 1e-12); }, 1.0,
@@ -335,6 +359,191 @@ TEST(Libm, PinnedDigests) {
                       0.0, 16384.0, 16385));
   }
   expect_pin("pow hosking", hosking, 0x47e0087f586c4f2cULL);
+}
+
+// ---------- owned exp and log (exec::simd) ----------
+
+using holms::exec::simd::Isa;
+
+const Isa kIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kNeon};
+
+// Every available kernel table's exp and log reproduce the glibc pins of
+// Libm.PinnedDigests on the same grids, on any host and any libm.
+TEST(OwnedLibm, ReproducesPinnedDigests) {
+  const std::vector<double> lx = grid(0x1p-20, 1.0, 1 << 20);
+  const std::vector<double> ex = grid(-16.0, 16.0, 1 << 20);
+  std::vector<double> y(lx.size());
+  for (const Isa isa : kIsas) {
+    if (!holms::exec::simd::isa_available(isa)) continue;
+    const auto& k = holms::exec::simd::kernels_for(isa);
+    k.log(lx.data(), y.data(), y.size());
+    EXPECT_EQ(digest(y), kLogGridPin) << k.name << " log: 0x" << std::hex
+                                      << digest(y);
+    k.exp(ex.data(), y.data(), y.size());
+    EXPECT_EQ(digest(y), kExpGridPin) << k.name << " exp: 0x" << std::hex
+                                      << digest(y);
+  }
+}
+
+// The owned functions replicate __ieee754_exp_fma and __ieee754_log_fma,
+// which glibc 2.36 runs where the CPU has FMA and AVX2; elsewhere std::exp
+// and std::log are another algorithm and there is nothing to compare.
+bool host_runs_glibc_236_fma() {
+#if defined(__GLIBC__) && defined(__x86_64__)
+  return std::string_view(gnu_get_libc_version()) == "2.36" &&
+         __builtin_cpu_supports("fma") && __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+// Against std::exp and std::log, bit for bit, through every available
+// table: 10 batches of 2^20 inputs per function.  Batch kinds cycle over the
+// inputs the draws meet (polar r2 values, the channel's exp arguments), the
+// edges of each path (the band near 1 and +-1 ulp around its ends, 2^-54 and
+// 512 for exp), random bit patterns, and the special values (+-0,
+// subnormals, 1, |x| >= 512, +-inf, NaN), planted in every batch at lanes
+// that vary so both the 8-lane blocks and the tails take them.
+TEST(OwnedLibm, MatchesGlibcBitwise) {
+  if (!host_runs_glibc_236_fma()) {
+    GTEST_SKIP() << "std::exp and std::log are glibc 2.36's FMA variants "
+                    "only on glibc 2.36 with FMA and AVX2";
+  }
+  const double inf = HUGE_VAL, nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,  -0.0,     0x1p-1074, -0x1p-1074,
+                             0x1.fffffffffffffp-1023,   0x1p-1022,
+                             1.0,  -1.0,     inf,       -inf,
+                             nan,  -nan,     512.0,     -512.0,
+                             709.78, -745.2, 1024.0,    -1100.0,
+                             0x1p-55, -0x1p-54, 0x1.ep-1, 0x1.109p0};
+  const double band_edges[] = {0x1.ep-1, 0x1.109p0, 1.0};
+  constexpr std::size_t kBatch = std::size_t{1} << 20;
+  std::vector<double> x(kBatch), got(kBatch);
+  Rng rng(2036);
+  for (const bool is_log : {true, false}) {
+    std::size_t checked = 0, mismatches = 0;
+    for (int batch = 0; batch < 10; ++batch) {
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        const std::uint64_t w = rng.bits();
+        const double u = holms::sim::unit_double(w);
+        switch (batch % 5) {
+          case 0:  // random bit patterns: every sign, exponent and payload
+            x[i] = std::bit_cast<double>(w);
+            break;
+          case 1:  // what the draws meet
+            if (is_log) {
+              x[i] = holms::sim::polar_point([&] { return rng.uniform(); }).r2;
+            } else {
+              x[i] = rng.normal(0.0, 0.08);
+            }
+            break;
+          case 2:  // the band near 1 and +-1 ulp around its ends (log), or
+                   // the edges of exp's main path
+            if (is_log) {
+              const double e = band_edges[w % 3];
+              x[i] = (w >> 2) % 4 == 0 ? std::nextafter(e, 0.0)
+                     : (w >> 2) % 4 == 1 ? std::nextafter(e, 2.0)
+                                          : 0x1.ep-1 + u * 0x1.2p-3;
+            } else {
+              const double e = (w & 1) ? 0x1p-54 : 512.0;
+              const double v = (w >> 1) % 3 == 0 ? std::nextafter(e, 0.0)
+                               : (w >> 1) % 3 == 1 ? std::nextafter(e, inf)
+                                                    : e * (0.5 + u);
+              x[i] = (w >> 3) & 1 ? -v : v;
+            }
+            break;
+          case 3:  // positive normals (log), or exp's whole finite range
+            x[i] = is_log ? std::bit_cast<double>(
+                                (w & 0x7fefffffffffffffULL) | (1ULL << 52))
+                          : -760.0 + 1480.0 * u;
+            break;
+          default:  // subnormals and tiny magnitudes
+            x[i] = std::bit_cast<double>(w & 0x801fffffffffffffULL);
+            break;
+        }
+      }
+      for (std::size_t j = 0; j < std::size(specials); ++j) {
+        x[(j * 977 + static_cast<std::size_t>(batch) * 13) % kBatch] =
+            specials[j];
+      }
+      for (const Isa isa : kIsas) {
+        if (!holms::exec::simd::isa_available(isa)) continue;
+        const auto& k = holms::exec::simd::kernels_for(isa);
+        (is_log ? k.log : k.exp)(x.data(), got.data(), kBatch);
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          const double want = is_log ? std::log(x[i]) : std::exp(x[i]);
+          ++checked;
+          if (as_word(got[i]) != as_word(want)) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << k.name << (is_log ? " log(" : " exp(")
+                            << std::hexfloat << x[i] << ") = " << got[i]
+                            << ", glibc " << want;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << checked;
+    EXPECT_GE(checked, 10'000'000u);
+  }
+}
+
+// ---------- Rng's chunked reader ----------
+
+// MT19937-64's tempering, as Rng::bits applies it.
+std::uint64_t temper(std::uint64_t z) {
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71d67fffeda60000ULL;
+  z ^= (z << 37) & 0xfff7eee000000000ULL;
+  return z ^ (z >> 43);
+}
+
+// A reader started at every offset of a 312-word block (so at every offset
+// within its conversion batches, and at the block's end) hands out
+// unit_double(bits()) word for word across 3+ twists, and leaves the Rng
+// where as many bits() calls would.  A second reader, and bits() between
+// readers, continue the same stream.  The unit_doubles kernel behind it
+// matches on every available table.
+TEST(Rng, BulkUniformsMatchBits) {
+  for (int start = 0; start <= 312; ++start) {
+    Rng a(77), b(77);
+    for (int i = 0; i < start; ++i) {
+      a.bits();
+      b.bits();
+    }
+    const int lengths[3] = {1000, 17, 1};
+    for (const int n : lengths) {
+      {
+        Rng::Uniforms unit(a);
+        for (int i = 0; i < n; ++i) {
+          const double want = holms::sim::unit_double(b.bits());
+          const double got = unit();
+          if (as_word(got) != as_word(want)) {
+            FAIL() << "start " << start << ", draw " << i << " of " << n;
+          }
+        }
+      }
+      ASSERT_EQ(a.bits(), b.bits()) << "start " << start << ", after " << n;
+    }
+  }
+  std::vector<std::uint64_t> words(1000);
+  Rng w(5);
+  for (auto& v : words) v = w.bits();
+  words[3] = 0;
+  words[4] = ~std::uint64_t{0};
+  std::vector<double> got(words.size());
+  for (const Isa isa : kIsas) {
+    if (!holms::exec::simd::isa_available(isa)) continue;
+    const auto& k = holms::exec::simd::kernels_for(isa);
+    for (const std::size_t n : {std::size_t{1000}, std::size_t{13}}) {
+      k.unit_doubles(words.data(), got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(as_word(got[i]),
+                  as_word(holms::sim::unit_double(temper(words[i]))))
+            << k.name << " word " << i;
+      }
+    }
+  }
 }
 
 // ---------- Rng against the std oracle ----------
@@ -546,6 +755,20 @@ TEST(Histogram, OutOfRangeGoesToEdgeBins) {
   h.add(42.0);
   EXPECT_EQ(h.bin_count(0), 1u);
   EXPECT_EQ(h.bin_count(9), 1u);
+}
+
+// NaN counts in the underflow bin, as in QuantileSketch; before, its bin
+// index came from an undefined NaN-to-integer conversion.
+TEST(Histogram, NanGoesToBinZero) {
+  Histogram h(0.0, 1.0, 10);
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  h.add(0.55);
+  h.add(-HUGE_VAL);
+  h.add(HUGE_VAL);
+  EXPECT_EQ(h.bin_count(0), 2u);
+  EXPECT_EQ(h.bin_count(5), 1u);
+  EXPECT_EQ(h.bin_count(9), 1u);
+  EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(Histogram, TailFraction) {
