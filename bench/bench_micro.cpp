@@ -372,6 +372,30 @@ double fgs_slot_ns() {
   return best;
 }
 
+// Nanoseconds per channel capacity: one hot ChannelTrace filled kSlotChunk
+// capacities per call, as FgsSessionFom::run_slots draws them (Markov steps
+// and polar points from bulk-converted uniforms, then one polar_lognormal
+// call on the owned exp and log).  Best of 3.
+double channel_draw_ns() {
+  namespace st = holms::streaming;
+  constexpr std::size_t kDraws = std::size_t{1} << 20;
+  double cap[st::kSlotChunk];
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 4; ++rep) {  // rep 0 warms caches and predictors
+    st::ChannelTrace channel(holms::sim::Rng(7001));
+    double sum = 0.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kDraws; i += st::kSlotChunk) {
+      channel.fill_capacity_bps(cap);
+      sum += cap[0];
+    }
+    const double ns = seconds_since(t0) * 1e9 / static_cast<double>(kDraws);
+    benchmark::DoNotOptimize(sum);
+    if (rep > 0) best = std::min(best, ns);
+  }
+  return best;
+}
+
 // Nanoseconds per QuantileSketch::add on serve's slot-load layout
 // (1e-3, 64, 32) over a fixed log-uniform stream of 2^16 values, fed 64
 // times.  Best of 3.
@@ -757,11 +781,14 @@ void headline_metrics(holms::bench::BenchReport& report) {
   rng_draw_metrics(report);
 
   const double slot_ns = fgs_slot_ns();
+  const double draw_ns = channel_draw_ns();
   const double add_ns = sketch_add_ns();
   report.set("fgs_slot_ns", slot_ns);
+  report.set("channel_draw_ns", draw_ns);
   report.set("sketch_add_ns", add_ns);
-  std::printf("-- FGS slot (graceful, run_slots): %.3g ns; sketch add: %.3g "
-              "ns\n", slot_ns, add_ns);
+  std::printf("-- FGS slot (graceful, run_slots): %.3g ns; channel draw: "
+              "%.3g ns; sketch add: %.3g ns\n",
+              slot_ns, draw_ns, add_ns);
 
   const double events = sim_events_per_s();
   report.set("sim_events_per_s", events);

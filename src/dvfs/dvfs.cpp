@@ -19,10 +19,17 @@ Processor::Processor(std::vector<OperatingPoint> points, PowerModel model)
   if (points_.empty()) {
     throw holms::InvalidArgument("Processor: need >= 1 operating point");
   }
-  std::sort(points_.begin(), points_.end(),
-            [](const OperatingPoint& a, const OperatingPoint& b) {
-              return a.frequency_hz < b.frequency_hz;
-            });
+  // Ladders usually arrive ascending (serve builds one per session from
+  // xscale_points()); only an unordered one pays for the sort.
+  const auto below = [](const OperatingPoint& a, const OperatingPoint& b) {
+    return a.frequency_hz < b.frequency_hz;
+  };
+  if (std::adjacent_find(points_.begin(), points_.end(),
+                         [&](const OperatingPoint& a, const OperatingPoint& b) {
+                           return !below(a, b);
+                         }) != points_.end()) {
+    std::sort(points_.begin(), points_.end(), below);
+  }
   for (const auto& p : points_) {
     if (!(p.frequency_hz > 0.0) || !(p.voltage > 0.0)) {
       throw holms::InvalidArgument("Processor: invalid operating point");

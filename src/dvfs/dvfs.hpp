@@ -54,9 +54,6 @@ class Processor {
   void set_level(std::size_t level);
   const PowerModel& model() const { return model_; }
 
-  double time_for_cycles(double cycles) const {
-    return cycles / current().frequency_hz;
-  }
   double energy_for_cycles(double cycles) const {
     return model_.energy_for_cycles(cycles, current());
   }

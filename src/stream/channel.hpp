@@ -71,7 +71,6 @@ class GilbertElliottModel final : public ErrorModel {
 
   bool corrupts(double now) override;
   double mean_error_rate() const override;
-  bool in_bad_state() const { return bad_; }
 
  private:
   void advance_to(double now);

@@ -136,7 +136,6 @@ class ProcessNetwork {
 
   const Buffer& buffer(EdgeId e) const { return *edges_.at(e.v); }
   const NodeStats& node_stats(NodeId n) const { return nodes_.at(n.v).stats; }
-  const std::string& node_name(NodeId n) const { return nodes_.at(n.v).spec.name; }
   /// End-to-end latency stats across all sinks.
   const sim::OnlineStats& latency() const { return latency_; }
   /// Inter-departure jitter at sinks (mean absolute deviation of gaps).
