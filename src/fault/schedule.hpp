@@ -70,12 +70,15 @@ struct FaultEvent {
 /// Construction validates and canonicalises the event order (time, then
 /// target, then id, then kind) so two schedules built from the same inputs
 /// compare and replay identically regardless of how the trace was assembled.
+/// The generators throw holms::InvalidArgument on a spec value that is NaN,
+/// infinite or outside its documented range.
 class FaultSchedule {
  public:
   FaultSchedule() = default;
 
   /// Builds a schedule from an explicit trace.  Events are sorted into
-  /// canonical order; negative times throw holms::InvalidArgument.
+  /// canonical order; negative or non-finite times throw
+  /// holms::InvalidArgument.
   static FaultSchedule from_trace(std::vector<FaultEvent> events);
 
   /// Parameters for a seeded Poisson fail/repair process over a set of
