@@ -87,17 +87,6 @@ class Mesh2D {
     return false;
   }
 
-  /// Enumerates the XY route (sequence of tiles, inclusive of endpoints).
-  std::vector<TileId> xy_route(TileId src, TileId dst) const {
-    std::vector<TileId> path{src};
-    TileId cur = src;
-    while (cur != dst) {
-      cur = neighbor(cur, xy_next(cur, dst));
-      path.push_back(cur);
-    }
-    return path;
-  }
-
   /// Number of directed inter-tile links (4 outgoing per tile; edge tiles
   /// simply never use their off-mesh slots).
   std::size_t num_links() const { return num_tiles() * 4; }

@@ -33,6 +33,7 @@
 #include "support/power_oracle.hpp"
 #include "support/sa_oracle.hpp"
 #include "support/sched_oracle.hpp"
+#include "support/xy_route.hpp"
 
 namespace {
 
@@ -139,7 +140,7 @@ TEST(XyRouteTable, MatchesMeshRoutes) {
         ASSERT_EQ(table.hops(s, d), mesh.hops(s, d));
         ASSERT_EQ(table.links(s, d).hops(), mesh.hops(s, d));
         // Reference: walk the route hop by hop with xy_next.
-        const auto route = mesh.xy_route(s, d);
+        const auto route = test_support::xy_route(mesh, s, d);
         expected.clear();
         for (std::size_t i = 0; i + 1 < route.size(); ++i) {
           const noc::Dir dir = mesh.xy_next(route[i], d);

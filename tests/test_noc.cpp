@@ -9,6 +9,7 @@
 #include "noc/taskgraph.hpp"
 #include "noc/topology.hpp"
 #include "support/noc_pins.hpp"
+#include "support/xy_route.hpp"
 
 namespace {
 
@@ -38,7 +39,8 @@ TEST(Mesh, XyRoutingGoesXFirst) {
 
 TEST(Mesh, XyRouteIsMinimalAndConnected) {
   Mesh2D m(5, 5);
-  const auto path = m.xy_route(m.tile_at(1, 4), m.tile_at(4, 0));
+  const auto path =
+      holms::test_support::xy_route(m, m.tile_at(1, 4), m.tile_at(4, 0));
   EXPECT_EQ(path.size(), m.hops(m.tile_at(1, 4), m.tile_at(4, 0)) + 1);
   EXPECT_EQ(path.front(), m.tile_at(1, 4));
   EXPECT_EQ(path.back(), m.tile_at(4, 0));
