@@ -8,11 +8,19 @@
 #include "exec/rng_stream.hpp"
 
 namespace holms::fault {
+namespace {
+
+bool ref_less(const TargetRef& a, const TargetRef& b) {
+  return std::tie(a.target, a.id) < std::tie(b.target, b.id);
+}
+
+}  // namespace
 
 FailureDomainTree::FailureDomainTree(std::string root_name) {
   parent_.push_back(0);
   name_.push_back(std::move(root_name));
   children_.emplace_back();
+  mapped_.emplace_back();
 }
 
 std::size_t FailureDomainTree::add_domain(std::size_t parent,
@@ -22,6 +30,7 @@ std::size_t FailureDomainTree::add_domain(std::size_t parent,
   parent_.push_back(parent);
   name_.push_back(std::move(name));
   children_.emplace_back();
+  mapped_.emplace_back();
   children_[parent].push_back(id);
   return id;
 }
@@ -29,13 +38,18 @@ std::size_t FailureDomainTree::add_domain(std::size_t parent,
 void FailureDomainTree::map_target(Target target, std::size_t id,
                                    std::size_t domain) {
   check_domain(domain, "map_target");
-  for (const TargetRef& ref : target_ref_) {
-    if (ref.target == target && ref.id == id) {
+  const TargetRef ref{target, id};
+  auto at = sorted_.end();
+  if (!sorted_.empty() && !ref_less(sorted_.back(), ref)) {
+    at = std::lower_bound(sorted_.begin(), sorted_.end(), ref, ref_less);
+    if (!ref_less(ref, *at)) {
       throw holms::InvalidArgument(
           "FailureDomainTree::map_target: target already mapped");
     }
   }
-  target_ref_.push_back(TargetRef{target, id});
+  sorted_.insert(at, ref);
+  mapped_[domain].push_back(target_ref_.size());
+  target_ref_.push_back(ref);
   target_domain_.push_back(domain);
 }
 
@@ -67,29 +81,33 @@ bool FailureDomainTree::is_ancestor(std::size_t ancestor,
   }
 }
 
+template <typename F>
+void FailureDomainTree::for_subtree(std::size_t domain, F&& f) const {
+  std::vector<std::size_t> stack{domain};
+  while (!stack.empty()) {
+    const std::size_t d = stack.back();
+    stack.pop_back();
+    f(d);
+    stack.insert(stack.end(), children_[d].rbegin(), children_[d].rend());
+  }
+}
+
 std::vector<TargetRef> FailureDomainTree::targets_under(
     std::size_t domain) const {
   check_domain(domain, "targets_under");
-  // A domain's id exceeds its parent's (add_domain appends), so one
-  // ascending pass from `domain` marks its whole subtree.
-  std::vector<bool> under(parent_.size(), false);
-  under[domain] = true;
-  for (std::size_t d = domain + 1; d < parent_.size(); ++d) {
-    under[d] = under[parent_[d]];
-  }
   std::vector<TargetRef> out;
-  for (std::size_t i = 0; i < target_ref_.size(); ++i) {
-    if (under[target_domain_[i]]) out.push_back(target_ref_[i]);
-  }
-  std::sort(out.begin(), out.end(), [](const TargetRef& a, const TargetRef& b) {
-    return std::tie(a.target, a.id) < std::tie(b.target, b.id);
+  for_subtree(domain, [&](std::size_t d) {
+    for (const std::size_t i : mapped_[d]) out.push_back(target_ref_[i]);
   });
+  std::sort(out.begin(), out.end(), ref_less);
   return out;
 }
 
 std::size_t FailureDomainTree::subtree_targets(std::size_t domain) const {
   check_domain(domain, "subtree_targets");
-  return targets_under(domain).size();
+  std::size_t n = 0;
+  for_subtree(domain, [&](std::size_t d) { n += mapped_[d].size(); });
+  return n;
 }
 
 std::uint64_t FailureDomainTree::fingerprint() const {

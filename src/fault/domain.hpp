@@ -48,7 +48,9 @@ class FailureDomainTree {
 
   /// Maps a concrete target to a domain (typically a leaf, but any domain
   /// is legal — a switch domain can own its uplink directly).  Mapping the
-  /// same (target, id) twice throws holms::InvalidArgument.
+  /// same (target, id) twice throws holms::InvalidArgument.  O(1) when
+  /// (target, id) exceeds every mapped one, as when ids are mapped in
+  /// ascending order; O(targets) otherwise.
   void map_target(Target target, std::size_t id, std::size_t domain);
 
   std::size_t num_domains() const { return parent_.size(); }
@@ -61,7 +63,8 @@ class FailureDomainTree {
   bool is_ancestor(std::size_t ancestor, std::size_t domain) const;
 
   /// Every target mapped at or below `domain`, in canonical (target, id)
-  /// order — the expansion order burst generators walk.
+  /// order — the expansion order burst generators walk.  Costs the
+  /// subtree's domains and targets, not the tree's.
   std::vector<TargetRef> targets_under(std::size_t domain) const;
 
   /// Number of targets at or below `domain` — the repair-crew priority of a
@@ -74,12 +77,18 @@ class FailureDomainTree {
 
  private:
   void check_domain(std::size_t domain, const char* what) const;
+  // Calls f(d) for every domain at or below `domain`, in preorder.
+  template <typename F>
+  void for_subtree(std::size_t domain, F&& f) const;
 
   std::vector<std::size_t> parent_;                 // parent_[0] == 0
   std::vector<std::string> name_;
   std::vector<std::vector<std::size_t>> children_;
   std::vector<TargetRef> target_ref_;               // insertion order
   std::vector<std::size_t> target_domain_;          // parallel to target_ref_
+  std::vector<std::vector<std::size_t>> mapped_;    // per domain: its indices
+                                                    // into target_ref_
+  std::vector<TargetRef> sorted_;  // every mapped target, (target, id) order
 };
 
 }  // namespace holms::fault

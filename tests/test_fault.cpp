@@ -659,6 +659,18 @@ TEST(DomainTree, RejectsBadParentsAndDuplicateTargets) {
                std::invalid_argument);
   EXPECT_THROW(tree.map_target(Target::kLink, 0, 42), std::invalid_argument);
   EXPECT_THROW(tree.targets_under(42), std::invalid_argument);
+  // A duplicate of any mapped target throws, not only of the last one, and
+  // a rejected mapping leaves the tree as it was.
+  tree.map_target(Target::kNode, 9, d);
+  tree.map_target(Target::kLink, 1, d);
+  const std::uint64_t before = tree.fingerprint();
+  EXPECT_THROW(tree.map_target(Target::kNode, 3, d), std::invalid_argument);
+  EXPECT_THROW(tree.map_target(Target::kNode, 9, d), std::invalid_argument);
+  EXPECT_THROW(tree.map_target(Target::kLink, 1, d), std::invalid_argument);
+  EXPECT_EQ(tree.fingerprint(), before);
+  tree.map_target(Target::kNode, 5, d);  // between two mapped ids
+  EXPECT_EQ(tree.num_targets(), 4u);
+  EXPECT_EQ(tree.subtree_targets(FailureDomainTree::kRoot), 4u);
 }
 
 // ---------- correlated domain bursts ----------

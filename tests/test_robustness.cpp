@@ -13,6 +13,7 @@
 #include "asip/iss.hpp"
 #include "core/ambient.hpp"
 #include "core/explorer.hpp"
+#include "exec/metrics.hpp"
 #include "fault/schedule.hpp"
 #include "manet/routing.hpp"
 #include "markov/chain.hpp"
@@ -97,21 +98,22 @@ TEST(Robust, PeriodicChainStillSolvableByDirectMethod) {
 TEST(Robust, HugeThreadCountSolvesOnOneMemberPerShard) {
   // A sharded solve starts at most one team member per shard, so a thread
   // count far past any OS thread limit neither exhausts the process nor
-  // changes a bit: six shards, six members.
-  const holms::markov::Dtmc d = holms::test_support::banded_chain(1500, 4);
-  for (const auto method : {holms::markov::SteadyStateMethod::kPowerIteration,
-                            holms::markov::SteadyStateMethod::kGaussSeidel}) {
-    holms::markov::SolveOptions opts;
-    opts.method = method;
-    opts.max_iterations = 200;
-    opts.threads = 1;
-    const auto serial = d.steady_state(opts);
-    opts.threads = std::size_t{1} << 20;
-    const auto huge = d.steady_state(opts);
-    EXPECT_EQ(serial.iterations, huge.iterations);
-    EXPECT_EQ(holms::test_support::bits_digest(serial.distribution),
-              holms::test_support::bits_digest(huge.distribution));
-  }
+  // changes a bit: 34 shards, 34 members.  The tandem's 8464 states and
+  // ~33,500 nonzeros clear the sharding floors.
+  const holms::markov::Dtmc d =
+      holms::test_support::tandem_chain(92, 1.0, 1.12, 1.17).uniformized();
+  holms::exec::MetricsRegistry reg;
+  const holms::exec::ScopedMetricsSink sink(reg);
+  holms::markov::SolveOptions opts;
+  opts.max_iterations = 200;
+  opts.threads = 1;
+  const auto serial = d.steady_state(opts);
+  opts.threads = std::size_t{1} << 20;
+  const auto huge = d.steady_state(opts);
+  EXPECT_EQ(reg.counter("markov.sharded_solves").value(), 2u);
+  EXPECT_EQ(serial.iterations, huge.iterations);
+  EXPECT_EQ(holms::test_support::bits_digest(serial.distribution),
+            holms::test_support::bits_digest(huge.distribution));
 }
 
 // The chain API checks its arguments in every build type: an assert would
