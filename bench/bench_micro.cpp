@@ -704,11 +704,11 @@ void simd_kernel_metrics(holms::bench::BenchReport& report) {
 }
 
 // Sweeps per second of design_farm32's solves: perfbench's n = 1296 tandem
-// at tolerance 1e-10 with threads = 4.  Power iteration runs six 256-column
-// shards on its team; a sweep there costs a few microseconds, so its rate
-// tracks the per-sweep hand-off of the shard team as much as the kernel.
-// Gauss–Seidel is serial and counts two sweeps (forward and backward) per
-// symmetric iteration.  Best of 3, the two methods interleaved.
+// at tolerance 1e-10 with threads = 4.  The chain sits below power
+// iteration's sharding floors, so both methods sweep inline through their
+// sliced plans and the rates time the sweep kernels, with no team hand-off.
+// Gauss–Seidel counts two sweeps (forward and backward) per symmetric
+// iteration.  Best of 3, the two methods interleaved.
 void tandem_sweep_metrics(holms::bench::BenchReport& report) {
   const auto q = holms::test_support::tandem_chain(36, 1.0, 1.12, 1.17);
   struct Method {

@@ -54,10 +54,12 @@ struct SolveOptions {
   /// Workers for power iteration's sharded sweeps (DESIGN.md §5g), by the
   /// explorer convention (0 = hardware concurrency, 1 = run the shard loop
   /// inline).  Power iteration shards a chain of at least 1024 states and
-  /// 4096 nonzeros on a fixed 256-column grid whatever `threads` is, and runs
-  /// it on its own exec::ShardTeam of min(threads, shards) members, joined
-  /// before returning: solves are bitwise identical across 1/2/4/7/...
-  /// threads.  Gauss–Seidel is serial at every size and ignores `threads`.
+  /// 32768 nonzeros on a fixed 256-column grid whatever `threads` is, and
+  /// runs it on its own exec::ShardTeam of min(threads, shards) members,
+  /// joined before returning: solves are bitwise identical across
+  /// 1/2/4/7/... threads.  Below the floors, where a sliced sweep costs less
+  /// than a team hand-off, every `threads` sweeps inline.  Gauss–Seidel is
+  /// serial at every size and ignores `threads`.
   std::size_t threads = 1;
 
   /// Rejects nonsensical solver settings; called by the steady_state /

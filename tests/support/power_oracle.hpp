@@ -3,7 +3,7 @@
 // match bit for bit.
 //
 // markov::sparse_power_iteration splits each sweep into fixed 256-column
-// shards once a chain reaches 1024 states and 4096 nonzeros.  This is the
+// shards once a chain reaches 1024 states and 32768 nonzeros.  This is the
 // same iteration with every sweep one spmv_cols call over all columns, the
 // same L1 delta and the same final normalization, whatever the chain's size.
 //
