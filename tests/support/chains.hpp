@@ -1,6 +1,6 @@
 #pragma once
-// Markov chains shared by the solver tests and bench_micro, sized to reach
-// the fixed-grid sharded kernels of markov/sparse.hpp, plus a one-word
+// Markov chains shared by the solver tests and bench_micro, which size them
+// below or above the sharding floors of markov/sparse.hpp, plus a one-word
 // fingerprint of a distribution's exact bits.
 
 #include <algorithm>
@@ -14,9 +14,10 @@
 namespace holms::test_support {
 
 // Banded chain: each state talks to its `band` neighbors on each side, so
-// nnz ~ n * (2*band + 1) — big and sparse enough to clear the sharding
-// floors without being trivial.  Forward drift (0.3 up vs 0.2 down) keeps
-// the spectral gap bounded away from 1 so the iterative solvers converge.
+// nnz ~ n * (2*band + 1): a band of 4 or more gives long columns (8+
+// entries), and e.g. (2048, 8) clears the sharding floors.  Forward drift
+// (0.3 up vs 0.2 down) keeps the spectral gap bounded away from 1 so the
+// iterative solvers converge.
 inline markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
   markov::Dtmc d(n);
   for (std::size_t i = 0; i < n; ++i) {

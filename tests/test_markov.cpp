@@ -349,7 +349,7 @@ TEST(ExactSolve, TandemAndBandedChainsMatchDenseLu) {
 TEST(ExactSolve, IterativeSolvesMatchDirect) {
   // The tolerance bounds the change per iteration, not the error: at 1e-10
   // both iterative methods must still land within 1e-7 (L1) of the exact
-  // solve, above power iteration's sharding floors (n >= 1024) too.  A
+  // solve, on chains of 1,296 and 1,500 states too.  A
   // forward-only Gauss–Seidel sweep stalls on the even-level tandems and a
   // backward-only one on the reversed tandem.
   using holms::test_support::banded_chain;
