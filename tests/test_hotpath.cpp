@@ -479,15 +479,43 @@ markov::Dtmc birth_death_chain(std::size_t n) {
   return d;
 }
 
+// Chains above power iteration's sharding floors: the design_farm32
+// tandem's shape at 92 levels (n = 8464, ~33,500 nonzeros, every column at
+// most 4 entries, so its sweeps run in slices) and a band of long columns
+// (17 entries, per-column dots).
+struct ShardedChain {
+  const char* name;
+  markov::Dtmc chain;
+};
+
+std::vector<ShardedChain> sharded_chains() {
+  std::vector<ShardedChain> chains;
+  chains.push_back(
+      {"tandem92", tandem_chain(92, 1.0, 1.12, 1.17).uniformized()});
+  chains.push_back({"banded2048x8", banded_chain(2048, 8)});
+  return chains;
+}
+
+// d's power solve, checked to have swept on the shard grid: a solve below
+// the floors runs inline and would prove nothing about the executor.
+markov::SolveResult sharded_power_solve(const markov::Dtmc& d,
+                                        const markov::SolveOptions& opts) {
+  exec::MetricsRegistry reg;
+  const exec::ScopedMetricsSink sink(reg);
+  markov::SolveResult r = d.steady_state(opts);
+  EXPECT_EQ(reg.counter("markov.sharded_solves").value(), 1u)
+      << "the chain no longer clears the sharding floors";
+  return r;
+}
+
 TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   // Reference values from the dense-storage chains (row-major O(n^2)
   // transient sweep, CSR built by scanning a dense matrix): the sparse-row
-  // chains must reproduce every iterate bit for bit.  The first solves stay
-  // below power iteration's sharding floors; the tandem and banded power
-  // solves further down run the fixed-grid sharded kernel.  The Gauss–Seidel
-  // pins are the symmetric sweep's.  All reduce through exec::simd's fixed
-  // lane order, so the digests hold under every HOLMS_SIMD / HOLMS_THREADS
-  // setting.
+  // chains must reproduce every iterate bit for bit.  Only the last block's
+  // power solves clear power iteration's sharding floors; every other solve
+  // here sweeps inline.  The Gauss–Seidel pins are the symmetric sweep's.
+  // All reduce through exec::simd's fixed lane order, so the digests hold
+  // under every HOLMS_SIMD / HOLMS_THREADS setting.
   const markov::Dtmc d = birth_death_chain(128);
   struct Pin {
     markov::SteadyStateMethod method;
@@ -515,12 +543,10 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
   EXPECT_EQ(pt[0], 0x1.a0f15a767c0b2p-3);
   EXPECT_EQ(bits_digest(pt), 0x864511e7b7efbec3ull);
 
-  // Solves above power iteration's sharding floors.  Its pins come from the
-  // pool-based executor that ran each sweep through ThreadPool::parallel_for.
-  // ThreadInvariance.* compares the sharded path only with itself; these pins
-  // also catch a team bug that gives the same wrong answer at every thread
-  // count.  The tandem is design_farm32's shape: n = 1296, six shards, the
-  // last 16 columns wide.
+  // design_farm32's tandem (n = 1296, 5,041 nonzeros) and a band of 9-entry
+  // columns (n = 1500, 13,480 nonzeros).  Both sit below the 32,768-nonzero
+  // sharding floor, so every thread count sweeps them inline; their power
+  // pins were first printed when both ran sharded, which changes no bit.
   const markov::Ctmc tandem = tandem_chain(36, 1.0, 1.12, 1.17);
   const markov::Dtmc banded = banded_chain(1500, 4);
   struct ShardedPin {
@@ -553,6 +579,31 @@ TEST(SparseSolve, MatchesPinnedReferenceDigests) {
       EXPECT_EQ(bits_digest(r.distribution), pin.digest)
           << pin.chain << " method " << static_cast<int>(pin.method)
           << " threads " << t;
+    }
+  }
+
+  // Power solves that do run on an executor: both chains clear the sharding
+  // floors, which sharded_power_solve checks.  ThreadInvariance.* compares
+  // the sharded path only with itself; these pins also catch an executor
+  // bug that gives the same wrong answer at every thread count.  A fixed
+  // 400 sweeps, short of convergence, keeps them quick.  Pinned while the
+  // shards still ran on a static team, shard s always on member s mod T.
+  const std::vector<ShardedChain> chains = sharded_chains();
+  const std::uint64_t sharded_digests[] = {0xf80f7662af142742ull,
+                                           0x1e074aed2437ceebull};
+  ASSERT_EQ(chains.size(), std::size(sharded_digests));
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    markov::SolveOptions opts;
+    opts.max_iterations = 400;
+    for (const std::size_t t :
+         {std::size_t{1}, std::size_t{4}, std::size_t{7},
+          holms::exec::env_threads(2)}) {
+      opts.threads = t;
+      const auto r = sharded_power_solve(chains[c].chain, opts);
+      EXPECT_FALSE(r.converged) << chains[c].name;
+      EXPECT_EQ(r.iterations, 400u) << chains[c].name;
+      EXPECT_EQ(bits_digest(r.distribution), sharded_digests[c])
+          << chains[c].name << " threads " << t;
     }
   }
 }
@@ -593,35 +644,6 @@ TEST(SparseSolve, PowerIterationMatchesDirectGth) {
 // Thread-count invariance: the sharded solvers and explore() must be a
 // function of the problem alone, never of the worker count.
 // ---------------------------------------------------------------------------
-
-// Chains above power iteration's sharding floors: the design_farm32
-// tandem's shape at 92 levels (n = 8464, ~33,500 nonzeros, every column at
-// most 4 entries, so its sweeps run in slices) and a band of long columns
-// (17 entries, per-column dots).
-struct ShardedChain {
-  const char* name;
-  markov::Dtmc chain;
-};
-
-std::vector<ShardedChain> sharded_chains() {
-  std::vector<ShardedChain> chains;
-  chains.push_back(
-      {"tandem92", tandem_chain(92, 1.0, 1.12, 1.17).uniformized()});
-  chains.push_back({"banded2048x8", banded_chain(2048, 8)});
-  return chains;
-}
-
-// d's power solve, checked to have swept on the shard grid: a solve below
-// the floors runs inline and would prove nothing about the team.
-markov::SolveResult sharded_power_solve(const markov::Dtmc& d,
-                                        const markov::SolveOptions& opts) {
-  exec::MetricsRegistry reg;
-  const exec::ScopedMetricsSink sink(reg);
-  markov::SolveResult r = d.steady_state(opts);
-  EXPECT_EQ(reg.counter("markov.sharded_solves").value(), 1u)
-      << "the chain no longer clears the sharding floors";
-  return r;
-}
 
 TEST(ThreadInvariance, SparseSolvesBitwiseAcrossThreadCounts) {
   // Gauss–Seidel is serial and ignores `threads`; its iterates are pinned
