@@ -706,7 +706,7 @@ void simd_kernel_metrics(holms::bench::BenchReport& report) {
 // Sweeps per second of design_farm32's solves: perfbench's n = 1296 tandem
 // at tolerance 1e-10 with threads = 4.  The chain sits below power
 // iteration's sharding floors, so both methods sweep inline through their
-// sliced plans and the rates time the sweep kernels, with no team hand-off.
+// sliced plans and the rates time the sweep kernels, with no pool hand-off.
 // Gauss–Seidel counts two sweeps (forward and backward) per symmetric
 // iteration.  Best of 3, the two methods interleaved.
 void tandem_sweep_metrics(holms::bench::BenchReport& report) {

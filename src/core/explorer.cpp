@@ -66,7 +66,7 @@ void ParetoAccumulator::merge(DesignCandidate c) {
 }
 
 void score_fault_robustness(const Application& app, const Platform& platform,
-                            const FaultScenario& fs, exec::ThreadPool* pool,
+                            const FaultScenario& fs, exec::ThreadPool& pool,
                             std::vector<DesignCandidate>& candidates) {
   if (fs.replicas == 0 || candidates.empty()) return;
   std::vector<fault::FaultSchedule> derived;
@@ -203,9 +203,7 @@ ExploreResult explore(const Application& app, const Platform& platform,
   // the schedule of the pool below can never leak into the results.
   const std::uint64_t stream_base = rng.bits();
 
-  std::optional<exec::ThreadPool> local_pool;
-  if (exec::resolve_threads(opts.threads) > 1) local_pool.emplace(opts.threads);
-  exec::ThreadPool* pool = local_pool ? &*local_pool : nullptr;
+  exec::ThreadPool pool(opts.threads);
 
   // Candidate mappings by index: 0 = greedy seed, then per restart r one SA
   // run (index 1 + 2r) and one random probe (index 2 + 2r).
@@ -290,17 +288,12 @@ SynthesisResult synthesize_platform(const Application& app, std::size_t width,
   // mostly-unchanged platforms, and identical (platform, mapping, scheduler)
   // triples are only priced once across all steps and threads.
   EvalCache shared_cache;
-  exec::ThreadPool* pool = nullptr;
-  std::optional<exec::ThreadPool> local_pool;
-  if (exec::resolve_threads(opts.threads) > 1) {
-    local_pool.emplace(opts.threads);
-    pool = &*local_pool;
-  }
+  exec::ThreadPool pool(opts.threads);
   ExploreOptions inner = opts.explore;
   if (inner.cache == nullptr) inner.cache = &shared_cache;
   // Upgrade candidates are the parallel axis; nested pools would only
   // oversubscribe (determinism holds either way).
-  if (pool != nullptr) inner.threads = 1;
+  if (pool.size() > 1) inner.threads = 1;
 
   out.design = explore(app, out.platform, rng, inner);
   out.found_feasible = out.design.found_feasible;

@@ -169,7 +169,7 @@ class ParetoAccumulator {
 /// candidate order; thread-count invariant.  Shared by explore() and
 /// core::IslandExplorer.
 void score_fault_robustness(const Application& app, const Platform& platform,
-                            const FaultScenario& fs, exec::ThreadPool* pool,
+                            const FaultScenario& fs, exec::ThreadPool& pool,
                             std::vector<DesignCandidate>& candidates);
 
 /// Searches mappings (greedy seed + SA restarts + random probes) and

@@ -163,9 +163,7 @@ IslandExplorer::IslandExplorer(const Application& app,
   platform_fp_ = platform_fingerprint(platform_);
 
   cache_ = std::make_unique<EvalCache>();
-  if (exec::resolve_threads(opts_.threads) > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(opts_.threads);
-  }
+  pool_ = std::make_unique<exec::ThreadPool>(opts_.threads);
 
   sa_base_ = opts_.sa;
   sa_base_.link_capacity_bps = platform_.link_bandwidth_bps;
@@ -203,7 +201,7 @@ void IslandExplorer::run_epoch() {
   const std::size_t total_gen = K * gen_per_island;
   const std::vector<noc::Mapping> gen =
       exec::parallel_transform<noc::Mapping>(
-          pool_.get(), total_gen, [&](std::size_t idx) {
+          *pool_, total_gen, [&](std::size_t idx) {
             const std::size_t i = idx / gen_per_island;
             const std::size_t s = idx % gen_per_island;
             sim::Rng stream(exec::substream_seed(stream_base_, i, e, s));
@@ -223,7 +221,7 @@ void IslandExplorer::run_epoch() {
   constexpr std::size_t scheds = 2;
   const std::size_t total_jobs = total_gen * scheds;
   const std::vector<Evaluation> evals = exec::parallel_transform<Evaluation>(
-      pool_.get(), total_jobs, [&](std::size_t j) {
+      *pool_, total_jobs, [&](std::size_t j) {
         return cache_->evaluate(app_, app_fp_, platform_, platform_fp_,
                                 gen[j / scheds], j % scheds == 0);
       });
@@ -236,8 +234,7 @@ void IslandExplorer::run_epoch() {
     cands[j].eval = evals[j];
   }
   if (opts_.faults != nullptr) {
-    score_fault_robustness(app_, platform_, *opts_.faults, pool_.get(),
-                           cands);
+    score_fault_robustness(app_, platform_, *opts_.faults, *pool_, cands);
   }
   evaluated_ += total_jobs;
 

@@ -195,8 +195,8 @@ class IslandExplorer {
   std::vector<std::pair<std::uint64_t, double>> trajectory_;
 
   // Execution plumbing (never serialized; resume re-creates it).  Every
-  // candidate is priced through the explorer's own cache; the pool exists
-  // only when `threads` resolves to more than one.
+  // candidate is priced through the explorer's own cache, on the explorer's
+  // own pool (a size-1 pool runs every loop inline).
   std::unique_ptr<EvalCache> cache_;
   std::unique_ptr<exec::ThreadPool> pool_;
 };

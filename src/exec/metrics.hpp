@@ -8,8 +8,9 @@
 //     return immediately when no MetricsRegistry is installed.  No strings
 //     are hashed, no locks taken.
 //   * Thread-safe by construction: counters and histogram cells are
-//     std::atomic, so instrumented code inside exec::ThreadPool workers
-//     (explorer candidates, SA moves, simulator runs) needs no coordination.
+//     std::atomic, so instrumented code run by exec::ThreadPool members
+//     (explorer candidates, SA moves, simulator runs, sharded solves) needs
+//     no coordination.
 //   * Machine-readable: MetricsRegistry::dump_json() emits the whole
 //     registry as one JSON object; the benches write it to BENCH_<name>.json
 //     so runs can be compared by scripts rather than by eyeballing tables.

@@ -55,10 +55,10 @@ struct SolveOptions {
   /// explorer convention (0 = hardware concurrency, 1 = run the shard loop
   /// inline).  Power iteration shards a chain of at least 1024 states and
   /// 32768 nonzeros on a fixed 256-column grid whatever `threads` is, and
-  /// runs it on its own exec::ShardTeam of min(threads, shards) members,
+  /// runs it on its own exec::ThreadPool of min(threads, shards) members,
   /// joined before returning: solves are bitwise identical across
   /// 1/2/4/7/... threads.  Below the floors, where a sliced sweep costs less
-  /// than a team hand-off, every `threads` sweeps inline.  Gauss–Seidel is
+  /// than a pool hand-off, every `threads` sweeps inline.  Gauss–Seidel is
   /// serial at every size and ignores `threads`.
   std::size_t threads = 1;
 

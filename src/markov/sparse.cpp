@@ -35,13 +35,13 @@ double l1_delta(std::span<const double> a, std::span<const double> b) {
 // per shard, *independent of the thread count*.  A chain below either floor
 // sweeps as one shard spanning every column: its sweep is too short to hand
 // out.  A sliced sweep of short columns costs ~1.6 ns per state, about
-// what a team adds per state in hand-off and in the serial L1 delta that
-// pulls the shards' output back, so a team pays only where long columns
+// what a pool adds per state in hand-off and in the serial L1 delta that
+// pulls the shards' output back, so a pool pays only where long columns
 // dominate; 32768 nonzeros keeps every measured short-column chain of up to
 // 8,100 states inline (DESIGN.md §5g has the crossover).
 // Sharded and one-shard sweeps run the same plan, so the floors only decide
-// whether a team starts, never a bit of the result.  Shard s always runs on
-// the same team member and writes only its own output columns.
+// whether a pool starts, never a bit of the result.  Shard s writes only
+// its own output columns, whichever member claims it.
 constexpr std::size_t kShardCols = 256;
 constexpr std::size_t kShardMinStates = 1024;
 constexpr std::size_t kShardMinNnz = 32768;
@@ -60,9 +60,9 @@ ShardGrid solve_grid(const CsrMatrix& p) {
   return {n, kShardCols};
 }
 
-// The team a solve sweeps on: solve-local, at most one member per shard so
-// none idles (a size-1 team runs the shard loop inline).
-std::size_t team_size(const ShardGrid& grid, const SolveOptions& opts) {
+// The pool a solve sweeps on: solve-local, at most one member per shard so
+// none idles (a size-1 pool runs the shard loop inline).
+std::size_t pool_size(const ShardGrid& grid, const SolveOptions& opts) {
   return std::min(exec::resolve_threads(opts.threads), grid.count());
 }
 
@@ -319,9 +319,9 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
   const SlicedSweep plan =
       plan_sweep(p.transposed(), Sweep::kJacobi, nullptr, grid.width);
   const simd::SweepPlan view = plan.view();
-  exec::ShardTeam team(team_size(grid, opts));
+  exec::ThreadPool pool(pool_size(grid, opts));
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    team.run(grid.count(), [&](std::size_t s) {
+    pool.parallel_for(grid.count(), [&](std::size_t s) {
       k.sweep(view, plan.cuts[s], plan.cuts[s + 1], pi.data(), next.data());
     });
     const double delta = l1_delta(pi, next);  // serial, fixed order

@@ -118,7 +118,7 @@ SlicedSweep plan_sweep(const CsrMatrix& pt, Sweep sweep, const double* denom,
 /// Power iteration pi <- pi P on a row-stochastic CSR matrix, gather form:
 /// next[c] = sum_r pi[r] * P[r, c] over the transpose, each column reduced
 /// as spmv_cols reduces it, through one kJacobi plan.  From 1024 states and
-/// 32768 nonzeros a sweep is split into fixed 256-column shards on a team
+/// 32768 nonzeros a sweep is split into fixed 256-column shards on a pool
 /// of up to opts.threads members (DESIGN.md §5g).  Serial and sharded
 /// execution run the identical plan (a shard is a range of its steps), so
 /// sharding — or the thread count, or the ISA — never changes a bit.

@@ -370,12 +370,10 @@ ServeReport ServiceManager::run(double horizon, double slice_s,
   }
   ran_ = true;
 
-  exec::ThreadPool pool(exec::resolve_threads(opt_.threads));
-  exec::parallel_for_each(
-      pool.size() > 1 ? &pool : nullptr, localities_.size(),
-      [&](std::size_t li) {
-        run_locality(*localities_[li], li, horizon, slice_s, observer);
-      });
+  exec::ThreadPool pool(opt_.threads);
+  pool.parallel_for(localities_.size(), [&](std::size_t li) {
+    run_locality(*localities_[li], li, horizon, slice_s, observer);
+  });
 
   ServeReport rep;
   rep.sessions_offered = offered_;

@@ -1,8 +1,9 @@
 #pragma once
 // ServiceManager: a multi-tenant streaming server multiplexing many FGS and
 // MPEG-2 sessions as non-blocking state machines (serve/fom.hpp) over a
-// fixed set of localities, each a private DES kernel, run by an
-// exec::ThreadPool.  DESIGN.md §5h.
+// fixed set of localities, each a private DES kernel, run one locality per
+// index on an exec::ThreadPool (inline on the caller at one thread).
+// DESIGN.md §5h.
 //
 // Determinism contract: session ids, per-session RNG streams
 // (exec::stream_seed(seed, id)), locality assignment (id % localities) and

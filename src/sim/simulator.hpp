@@ -235,11 +235,11 @@ class Simulator {
 /// fresh round of heap allocations.  A cache keeps the largest arena any
 /// finished simulator returned and hands it to the next one wholesale.
 ///
-/// The cache is intentionally unsynchronized — it is *per-worker* state.  Use
+/// The cache is intentionally unsynchronized — it is *per-thread* state.  Use
 /// `EventPoolCache::this_thread()` to get the calling thread's instance:
-/// exec::ThreadPool workers are persistent threads, so each worker of an
-/// explore fleet accumulates and reuses its own arena for the whole run.
-/// (The ISSUE sketched this type in holms::exec; it lives in holms::sim
+/// exec::ThreadPool members (the caller among them) are persistent threads,
+/// so each thread of an explore fleet accumulates and reuses its own arena
+/// for the whole run.  (The type lives in holms::sim rather than holms::exec
 /// because the dependency arrow points sim -> exec and the slab type is the
 /// simulator's.)  A cache must outlive every Simulator constructed on it;
 /// the thread-local instance trivially satisfies this for stack simulators.

@@ -96,7 +96,7 @@ TEST(Robust, PeriodicChainStillSolvableByDirectMethod) {
 }
 
 TEST(Robust, HugeThreadCountSolvesOnOneMemberPerShard) {
-  // A sharded solve starts at most one team member per shard, so a thread
+  // A sharded solve starts at most one pool member per shard, so a thread
   // count far past any OS thread limit neither exhausts the process nor
   // changes a bit: 34 shards, 34 members.  The tandem's 8464 states and
   // ~33,500 nonzeros clear the sharding floors.
