@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 
 #include "exec/error.hpp"
