@@ -161,19 +161,11 @@ std::size_t EvalCache::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
-EvalCache::EvalCache(std::size_t shards) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 std::size_t EvalCache::size() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    n += s->map.size();
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    n += s.map.size();
   }
   return n;
 }

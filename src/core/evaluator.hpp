@@ -15,9 +15,9 @@
 // memoization plumbing on the exploration path, never on the serve/session
 // path, and converting it to the FOM discipline would buy nothing.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -88,13 +88,10 @@ std::uint64_t app_fingerprint(const Application& app);
 /// trial — and re-pricing means re-running the list scheduler.  Keys are
 /// (app fingerprint, platform fingerprint, scheduler flag, exact mapping);
 /// the mapping is compared element-wise, so a cache hit returns a value
-/// bitwise-identical to a fresh evaluation.  Shard count fixed at
-/// construction; each shard has its own mutex so concurrent explorer
-/// threads rarely contend.
+/// bitwise-identical to a fresh evaluation.  kShards shards, each with its
+/// own mutex so concurrent explorer threads rarely contend.
 class EvalCache {
  public:
-  explicit EvalCache(std::size_t shards = 16);
-
   /// Returns the cached evaluation or computes, stores and returns it.
   Evaluation evaluate(const Application& app, std::uint64_t app_fp,
                       const Platform& platform, std::uint64_t platform_fp,
@@ -127,15 +124,16 @@ class EvalCache {
     std::size_t operator()(const Key& k) const;
   };
   struct Shard {
-    std::mutex mu;
+    mutable std::mutex mu;
     std::unordered_map<Key, Evaluation, KeyHash> map;
   };
+  static constexpr std::size_t kShards = 16;
 
   Shard& shard_for(std::size_t key_hash) {
-    return *shards_[key_hash % shards_.size()];
+    return shards_[key_hash % kShards];
   }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> inserts_{0};

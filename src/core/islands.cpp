@@ -544,12 +544,4 @@ IslandExplorer IslandExplorer::resume_from_file(const Application& app,
   return resume(app, platform, std::move(opts), blob);
 }
 
-ExploreResult explore_islands(const Application& app, const Platform& platform,
-                              sim::Rng& rng, const IslandOptions& opts) {
-  IslandExplorer ex(app, platform, rng, opts);
-  while (ex.step()) {
-  }
-  return ex.result();
-}
-
 }  // namespace holms::core

@@ -201,9 +201,4 @@ class IslandExplorer {
   std::unique_ptr<exec::ThreadPool> pool_;
 };
 
-/// Convenience wrapper: run opts.epochs epochs and return the result —
-/// the island-model analogue of explore().
-ExploreResult explore_islands(const Application& app, const Platform& platform,
-                              sim::Rng& rng, const IslandOptions& opts = {});
-
 }  // namespace holms::core

@@ -204,6 +204,4 @@ bool isa_available(Isa isa);
 /// The ISA "auto" resolves to on this machine.
 Isa best_isa();
 
-const char* isa_name(Isa isa);
-
 }  // namespace holms::exec::simd

@@ -51,18 +51,6 @@ Isa best_isa() {
   return Isa::kScalar;
 }
 
-const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kNeon:
-      return "neon";
-  }
-  return "scalar";
-}
-
 const Kernels& kernels_for(Isa isa) {
   switch (isa) {
     case Isa::kScalar:

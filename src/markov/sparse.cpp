@@ -269,11 +269,6 @@ CsrMatrix::CsrMatrix(std::size_t cols, std::span<const SparseRow> rows)
   }
 }
 
-double CsrMatrix::density() const {
-  const double cells = static_cast<double>(rows_) * static_cast<double>(cols_);
-  return cells > 0.0 ? static_cast<double>(nnz()) / cells : 0.0;
-}
-
 CsrMatrix CsrMatrix::transposed() const {
   CsrMatrix t;
   t.rows_ = cols_;

@@ -40,8 +40,6 @@ class CsrMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return vals_.size(); }
-  /// nnz / (rows * cols); 0 for an empty matrix.
-  double density() const;
 
   std::span<const std::uint32_t> row_cols(std::size_t r) const {
     return {cols_idx_.data() + offsets_[r], cols_idx_.data() + offsets_[r + 1]};

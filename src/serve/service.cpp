@@ -112,8 +112,6 @@ struct ServiceManager::Mpeg2Session {
 /// the Simulator so they are destroyed first — their pending events are then
 /// discarded, never invoked, by ~Simulator.
 struct ServiceManager::Locality {
-  Locality() : sim(&sim::EventPoolCache::this_thread()) {}
-
   sim::Simulator sim;
   fault::FaultSchedule faults;  // kNode events addressed to this locality
   std::vector<std::unique_ptr<FgsSession>> fgs;
@@ -148,10 +146,6 @@ ServiceManager::ServiceManager(const ServeOptions& opt) : opt_(opt) {
 }
 
 ServiceManager::~ServiceManager() = default;
-
-std::size_t ServiceManager::num_localities() const {
-  return localities_.size();
-}
 
 void ServiceManager::attach_fault_schedule(
     const fault::FaultSchedule* schedule) {
@@ -220,6 +214,17 @@ std::size_t ServiceManager::add_mpeg2_session(
   return id;
 }
 
+double ServiceManager::next_dispatch(Locality& loc, double delay) {
+  double when = loc.sim.now() + delay;
+  if (opt_.dispatch_quantum_s > 0.0) {
+    const double q = opt_.dispatch_quantum_s;
+    const double aligned = std::ceil(when / q) * q;
+    loc.lag.add(aligned - when);
+    when = aligned;
+  }
+  return when;
+}
+
 void ServiceManager::pump_fgs(Locality& loc, FgsSession& s) {
   const std::size_t before = s.fom.slots_done();
   const double d = s.fom.step();
@@ -232,14 +237,8 @@ void ServiceManager::pump_fgs(Locality& loc, FgsSession& s) {
     loc.complete_fgs(s.fom.report());
     return;
   }
-  double when = loc.sim.now() + d;
-  if (opt_.dispatch_quantum_s > 0.0) {
-    const double q = opt_.dispatch_quantum_s;
-    const double aligned = std::ceil(when / q) * q;
-    loc.lag.add(aligned - when);
-    when = aligned;
-  }
-  loc.sim.schedule_at(when, [this, &loc, &s] { pump_fgs(loc, s); });
+  loc.sim.schedule_at(next_dispatch(loc, d),
+                      [this, &loc, &s] { pump_fgs(loc, s); });
 }
 
 void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
@@ -252,14 +251,8 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
     loc.mpeg2_frames_out += r.frames_out;
     return;
   }
-  double when = loc.sim.now() + d;
-  if (opt_.dispatch_quantum_s > 0.0) {
-    const double q = opt_.dispatch_quantum_s;
-    const double aligned = std::ceil(when / q) * q;
-    loc.lag.add(aligned - when);
-    when = aligned;
-  }
-  loc.sim.schedule_at(when, [this, &loc, &s] { pump_mpeg2(loc, s); });
+  loc.sim.schedule_at(next_dispatch(loc, d),
+                      [this, &loc, &s] { pump_mpeg2(loc, s); });
 }
 
 // Wave scheduler: the session-major FGS path.  When a locality's FGS
@@ -337,8 +330,8 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
     run_locality_waves(loc, horizon, slot_s);
   } else {
     // Arm every FGS session's first step at t=0 in admission order; the
-    // kernel's same-timestamp batching then dispatches each wave of aligned
-    // slots as one cohort in insertion order.
+    // kernel's (time, insertion) order then dispatches each wave of aligned
+    // slots in admission order.
     for (std::unique_ptr<FgsSession>& s : loc.fgs) {
       FgsSession* p = s.get();
       loc.sim.schedule_at(0.0, [this, &loc, p] { pump_fgs(loc, *p); });

@@ -38,8 +38,8 @@ struct ServeOptions {
   /// kGracefulDegradation ladder (shed enhancement first, protect base).
   double degrade_watermark = 0.85;
   /// > 0 quantizes every inter-step delay up to the next multiple of this
-  /// grid: sessions with equal slot lengths then dispatch in same-timestamp
-  /// batches, and the induced lag is recorded in ServeReport::dispatch_lag.
+  /// grid: sessions with equal slot lengths then dispatch at shared
+  /// timestamps, and the induced lag is recorded in ServeReport::dispatch_lag.
   double dispatch_quantum_s = 0.0;
   /// Channel loss for FGS sessions on a locality while a scheduled hard fault
   /// (Target::kNode, id == locality index) is active or a transient soft one
@@ -119,7 +119,6 @@ class ServiceManager {
       std::size_t num_frames, double extra_drain_time = 2.0);
 
   std::size_t active_sessions() const { return admitted_; }
-  std::size_t num_localities() const;
 
   /// Runs every locality to `horizon` (one locality per pool task) and
   /// merges their statistics in index order.  `slice_s` > 0 pauses each
@@ -133,6 +132,10 @@ class ServiceManager {
   struct Mpeg2Session;
   struct Locality;
 
+  /// The time of a session's next step, `delay` after now on `loc`'s
+  /// kernel; with a dispatch quantum it is aligned up to the quantum grid
+  /// and the lag is recorded.
+  double next_dispatch(Locality& loc, double delay);
   void pump_fgs(Locality& loc, FgsSession& s);
   void pump_mpeg2(Locality& loc, Mpeg2Session& s);
   void run_locality(Locality& loc, std::size_t index, double horizon,

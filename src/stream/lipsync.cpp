@@ -137,9 +137,7 @@ class LipSyncRun {
 
 LipSyncReport run_lipsync(const LipSyncConfig& cfg, double duration,
                           std::uint64_t seed) {
-  // Per-thread slab recycling: repeated runs on one worker reuse the arena
-  // of the previous run instead of re-growing it (DESIGN.md Â§5g).
-  sim::Simulator sim(&sim::EventPoolCache::this_thread());
+  sim::Simulator sim;
   LipSyncRun run(cfg, sim, sim::Rng(seed));
   run.start();
   sim.run(duration);

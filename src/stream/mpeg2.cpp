@@ -132,9 +132,7 @@ const Mpeg2Report& Mpeg2SessionFom::report() const {
 Mpeg2Report run_mpeg2_decoder(traffic::VideoTraceGenerator& video,
                               std::size_t num_frames, const Mpeg2Config& cfg,
                               double extra_drain_time) {
-  // Per-thread slab recycling: repeated runs on one worker reuse the arena
-  // of the previous run instead of re-growing it (DESIGN.md §5g).
-  sim::Simulator sim(&sim::EventPoolCache::this_thread());
+  sim::Simulator sim;
   Mpeg2SessionFom fom(sim, video, num_frames, cfg, extra_drain_time);
   fom.step();              // build + arm sources
   sim.run(fom.horizon());  // the decode window, driven by the DES kernel

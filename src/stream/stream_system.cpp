@@ -173,9 +173,7 @@ class StreamRun {
 
 StreamQos run_stream(traffic::ArrivalProcess& source, ErrorModel& errors,
                      const StreamConfig& cfg, double duration) {
-  // Per-thread slab recycling: repeated runs on one worker reuse the arena
-  // of the previous run instead of re-growing it (DESIGN.md Â§5g).
-  sim::Simulator sim(&sim::EventPoolCache::this_thread());
+  sim::Simulator sim;
   StreamRun run(sim, source, errors, cfg);
   run.start();
   sim.run(duration);

@@ -2,8 +2,7 @@
 // evaluator (swap / 2-opt / cluster moves) vs full re-evaluation, the list
 // scheduler's per-task dependency lists vs a full-scan oracle, the CSR
 // stationary solvers against pinned reference digests — bitwise identical
-// across thread counts — and the slab/small-buffer event pool plus its
-// cross-candidate EventPoolCache recycling.
+// across thread counts — and the slab/small-buffer event pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +10,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -720,7 +721,6 @@ TEST(CsrMatrix, TransposeRoundTrip) {
   const markov::CsrMatrix csr(4, rows);
   EXPECT_EQ(csr.rows(), 3u);
   EXPECT_EQ(csr.nnz(), 4u);
-  EXPECT_NEAR(csr.density(), 4.0 / 12.0, 1e-15);
   const auto t = csr.transposed();
   EXPECT_EQ(t.rows(), 4u);
   EXPECT_EQ(t.cols(), 3u);
@@ -757,58 +757,34 @@ TEST(CsrMatrix, DropsExactZerosAndRejectsMalformedRows) {
 // Event-pool simulator kernel.
 // ---------------------------------------------------------------------------
 
-TEST(EventPool, DeterministicTraceWithBatchesAndCancels) {
+// Runs one small trace to each horizon in turn and returns its (time, tag)
+// marks: events at one timestamp run in insertion order, including those a
+// callback adds at its own timestamp or at a later, already-queued one.
+std::vector<std::pair<double, int>> dispatch_trace(
+    std::initializer_list<double> horizons) {
   sim::Simulator s;
   std::vector<std::pair<double, int>> trace;
   const auto mark = [&](int tag) { trace.emplace_back(s.now(), tag); };
-
   s.schedule_at(2.0, [&] { mark(1); });
-  const auto victim = s.schedule_at(2.0, [&] { mark(99); });
   s.schedule_at(2.0, [&] { mark(2); });
   s.schedule_at(1.0, [&] {
     mark(0);
-    s.cancel(victim);                      // cancels into the future batch
-    s.schedule_at(2.0, [&] { mark(3); });  // joins the t=2 cohort (later seq)
+    s.schedule_at(2.0, [&] { mark(3); });  // runs after the queued t=2 events
     s.schedule_in(0.0, [&] { mark(4); });  // same-timestamp follow-up at t=1
   });
-  const std::size_t n = s.run();
+  std::size_t n = 0;
+  for (const double until : horizons) n += s.run(until);
   EXPECT_EQ(n, 5u);
+  return trace;
+}
+
+TEST(EventPool, DeterministicTraceWholeAndInSlices) {
   const std::vector<std::pair<double, int>> expected = {
       {1.0, 0}, {1.0, 4}, {2.0, 1}, {2.0, 2}, {2.0, 3}};
-  EXPECT_EQ(trace, expected);
-}
-
-TEST(EventPool, CancelWithinSameTimestampBatch) {
-  sim::Simulator s;
-  int ran = 0;
-  sim::EventId later{};
-  s.schedule_at(1.0, [&] {
-    ++ran;
-    s.cancel(later);  // target was scheduled at the same timestamp
-  });
-  later = s.schedule_at(1.0, [&] { ran += 100; });
-  s.run();
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(EventPool, StopMidBatchLeavesTailPending) {
-  sim::Simulator s;
-  std::vector<int> ran;
-  s.schedule_at(1.0, [&] { ran.push_back(1); });
-  s.schedule_at(1.0, [&] {
-    ran.push_back(2);
-    s.stop();
-  });
-  s.schedule_at(1.0, [&] { ran.push_back(3); });
-  const std::size_t first = s.run();
-  EXPECT_EQ(first, 2u);
-  EXPECT_EQ(s.pending(), 1u);
-  // Resume: the re-queued tail runs, still at t=1, in original order.
-  const std::size_t second = s.run();
-  EXPECT_EQ(second, 1u);
-  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(s.now(), 1.0);
+  EXPECT_EQ(dispatch_trace({std::numeric_limits<double>::infinity()}),
+            expected);
+  // serve's slice-observer path: run(1.0), then run(2.0).
+  EXPECT_EQ(dispatch_trace({1.0, 2.0}), expected);
 }
 
 TEST(EventPool, LargeCapturesFallBackToHeap) {
@@ -833,11 +809,9 @@ TEST(EventPool, DestructorReleasesUnrunCallbacks) {
     std::array<std::shared_ptr<int>, 16> many;
     many.fill(token);
     s.schedule_at(2.0, [many] { (void)many; });            // heap fallback
-    const auto cancelled = s.schedule_at(3.0, [token] { (void)*token; });
-    s.cancel(cancelled);
     EXPECT_GT(token.use_count(), 1);
   }
-  // All three never ran; their captures must still have been destroyed.
+  // Neither ran; their captures must still have been destroyed.
   EXPECT_EQ(token.use_count(), 1);
 }
 
@@ -854,108 +828,10 @@ TEST(EventPool, SlotsAreRecycledAcrossManyEvents) {
     }
   };
   s.schedule_in(1.0, Chain{s, count, 9999});
-  s.run();
+  EXPECT_EQ(s.run(), 10000u);
   EXPECT_EQ(count, 10000u);
-  EXPECT_EQ(s.executed(), 10000u);
   // One live event at a time: the pool never needs more than one slab.
   EXPECT_EQ(s.queue_high_water(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// EventPoolCache: slab-arena recycling across simulator fleets (PR 5).
-// ---------------------------------------------------------------------------
-
-TEST(EventPoolCache, RecyclesSlabsAcrossSimulators) {
-  sim::EventPoolCache cache;
-  EXPECT_EQ(cache.slabs_cached(), 0u);
-  {
-    sim::Simulator s(&cache);
-    int n = 0;
-    // 600 concurrent live events: forces >= 3 slabs of 256 slots.
-    for (int i = 0; i < 600; ++i) {
-      s.schedule_at(1.0 + i, [&n] { ++n; });
-    }
-    s.run();
-    EXPECT_EQ(n, 600);
-  }
-  const std::size_t parked = cache.slabs_cached();
-  EXPECT_GE(parked, 3u);
-  EXPECT_EQ(cache.high_water(), parked);
-  {
-    sim::Simulator s2(&cache);
-    // The second simulator adopts the parked arena wholesale.
-    EXPECT_EQ(cache.slabs_cached(), 0u);
-    int n = 0;
-    for (int i = 0; i < 600; ++i) {
-      s2.schedule_at(1.0 + i, [&n] { ++n; });
-    }
-    s2.run();
-    EXPECT_EQ(n, 600);
-  }
-  // Same workload, recycled slots: the arena comes back unchanged.
-  EXPECT_EQ(cache.slabs_cached(), parked);
-  EXPECT_EQ(cache.high_water(), parked);
-}
-
-TEST(EventPoolCache, KeepsLargestArena) {
-  sim::EventPoolCache cache;
-  {
-    sim::Simulator big(&cache);
-    int n = 0;
-    for (int i = 0; i < 600; ++i) big.schedule_at(1.0 + i, [&n] { ++n; });
-    big.run();
-  }
-  const std::size_t parked = cache.slabs_cached();
-  ASSERT_GE(parked, 3u);
-  {
-    // A small run adopts the big arena and returns it intact: parking the
-    // larger-of arenas means the cache never shrinks below its high water.
-    sim::Simulator small(&cache);
-    int n = 0;
-    small.schedule_at(1.0, [&n] { ++n; });
-    small.run();
-  }
-  EXPECT_EQ(cache.slabs_cached(), parked);
-  EXPECT_EQ(cache.high_water(), parked);
-}
-
-std::vector<std::pair<double, int>> batch_cancel_trace(sim::Simulator& s) {
-  std::vector<std::pair<double, int>> trace;
-  const auto mark = [&](int tag) { trace.emplace_back(s.now(), tag); };
-  s.schedule_at(2.0, [&] { mark(1); });
-  const auto victim = s.schedule_at(2.0, [&] { mark(99); });
-  s.schedule_at(2.0, [&] { mark(2); });
-  s.schedule_at(1.0, [&] {
-    mark(0);
-    s.cancel(victim);
-    s.schedule_at(2.0, [&] { mark(3); });
-    s.schedule_in(0.0, [&] { mark(4); });
-  });
-  s.run();
-  return trace;
-}
-
-TEST(EventPoolCache, RecycledArenaProducesIdenticalTrace) {
-  sim::EventPoolCache cache;
-  std::vector<std::pair<double, int>> fresh, recycled;
-  {
-    sim::Simulator s(&cache);
-    fresh = batch_cancel_trace(s);
-  }
-  {
-    sim::Simulator s(&cache);  // runs entirely on recycled slots
-    recycled = batch_cancel_trace(s);
-  }
-  const std::vector<std::pair<double, int>> expected = {
-      {1.0, 0}, {1.0, 4}, {2.0, 1}, {2.0, 2}, {2.0, 3}};
-  EXPECT_EQ(fresh, expected);
-  EXPECT_EQ(recycled, expected);
-}
-
-TEST(EventPoolCache, ThisThreadReturnsPerThreadSingleton) {
-  sim::EventPoolCache& a = sim::EventPoolCache::this_thread();
-  sim::EventPoolCache& b = sim::EventPoolCache::this_thread();
-  EXPECT_EQ(&a, &b);
 }
 
 // ---- exec::simd: scalar-vs-native bitwise equivalence ----------------------

@@ -130,22 +130,6 @@ TEST(Islands, FindsFeasibleDesignAndTrajectoryIsMonotone) {
   }
 }
 
-TEST(Islands, ExploreIslandsWrapperMatchesManualLoop) {
-  const Application app = island_app();
-  const Platform plat = Platform::homogeneous(4, 4);
-  Rng r1(42), r2(42);
-  IslandExplorer ex(app, plat, r1, small_opts(2, 3));
-  while (ex.step()) {
-  }
-  const ExploreResult manual = ex.result();
-  const ExploreResult wrapped = explore_islands(app, plat, r2,
-                                                small_opts(2, 3));
-  EXPECT_EQ(manual.evaluated, wrapped.evaluated);
-  EXPECT_EQ(manual.found_feasible, wrapped.found_feasible);
-  EXPECT_EQ(manual.best.mapping, wrapped.best.mapping);
-  EXPECT_EQ(manual.best.eval.total_energy_j, wrapped.best.eval.total_energy_j);
-}
-
 // The core determinism claim: for each island count, the fingerprint is
 // bitwise invariant to the worker-thread count (1 / 2 / 4 / 7), and the
 // consumption of the caller's RNG does not depend on either knob.

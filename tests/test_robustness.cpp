@@ -36,22 +36,6 @@ using holms::sim::Rng;
 
 // ---------- sim ----------
 
-TEST(Robust, SimulatorSelfCancellingEvent) {
-  holms::sim::Simulator sim;
-  holms::sim::EventId id{};
-  id = sim.schedule_at(1.0, [&] { sim.cancel(id); });  // cancels itself, late
-  EXPECT_NO_THROW(sim.run());
-}
-
-TEST(Robust, SimulatorCancelTwice) {
-  holms::sim::Simulator sim;
-  const auto id = sim.schedule_at(1.0, [] {});
-  sim.cancel(id);
-  sim.cancel(id);
-  EXPECT_NO_THROW(sim.run());
-  EXPECT_EQ(sim.executed(), 0u);
-}
-
 TEST(Robust, SimulatorEmptyRunAdvancesClock) {
   holms::sim::Simulator sim;
   sim.run(5.0);

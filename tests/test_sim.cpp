@@ -23,13 +23,11 @@
 
 namespace {
 
-using holms::sim::EventId;
 using holms::sim::Histogram;
 using holms::sim::OnlineStats;
 using holms::sim::QuantileSketch;
 using holms::sim::Rng;
 using holms::sim::Simulator;
-using holms::sim::Ticker;
 using holms::sim::TimeWeightedStats;
 using holms::test_support::StdRng;
 
@@ -75,23 +73,6 @@ TEST(Simulator, RunUntilHorizonStopsAndAdvancesClock) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(0.5, [&] { sim.cancel(id); });
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Simulator, CancelUnknownIsNoop) {
-  Simulator sim;
-  sim.cancel(EventId{});      // null id
-  sim.cancel(EventId{999});   // never scheduled
-  sim.schedule_at(1.0, [] {});
-  EXPECT_NO_THROW(sim.run());
-}
-
 TEST(Simulator, EventsCanScheduleMoreEvents) {
   Simulator sim;
   int depth = 0;
@@ -104,69 +85,27 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
-TEST(Simulator, StopRequestHaltsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule_at(2.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  sim.run();  // resumes
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, StepExecutesExactlyOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, RejectsNaNAndPastEventTimes) {
   Simulator sim;
-  sim.run(5.0);  // empty queue: the clock advances to the horizon
   int fired = 0;
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A NaN horizon is rejected before anything runs (it would bound nothing).
+  sim.schedule_at(5.0, [&] { ++fired; });
+  EXPECT_THROW(sim.run(nan), holms::InvalidArgument);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
   EXPECT_THROW(sim.schedule_at(nan, [&] { ++fired; }), holms::InvalidArgument);
   EXPECT_THROW(sim.schedule_in(nan, [&] { ++fired; }), holms::InvalidArgument);
   EXPECT_THROW(sim.schedule_at(4.0, [&] { ++fired; }), holms::InvalidArgument);
   EXPECT_THROW(sim.schedule_in(-1.0, [&] { ++fired; }),
                holms::InvalidArgument);
-  // Nothing was queued (a queued NaN event would stall run() forever).
-  ASSERT_EQ(sim.pending(), 0u);
+  // Nothing was queued (a queued NaN event would stall run() forever); the
+  // empty queue lets the clock advance to the horizon.
   EXPECT_EQ(sim.run(10.0), 0u);
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-}
-
-TEST(Ticker, FiresPeriodicallyUntilStopped) {
-  Simulator sim;
-  int ticks = 0;
-  Ticker t(sim, 1.0, [&] { return ++ticks < 3; });
-  t.start(0.5);
-  sim.run(10.0);
-  EXPECT_EQ(ticks, 3);  // 0.5, 1.5, 2.5 then callback returned false
-}
-
-TEST(Ticker, StopCancelsPending) {
-  Simulator sim;
-  int ticks = 0;
-  Ticker t(sim, 1.0, [&] {
-    ++ticks;
-    return true;
-  });
-  t.start(1.0);
-  sim.schedule_at(2.5, [&] { t.stop(); });
-  sim.run(10.0);
-  EXPECT_EQ(ticks, 2);
 }
 
 // ---------- Rng ----------
@@ -662,18 +601,6 @@ TEST(RngOracle, EveryDrawMatchesLibstdcxxBitwise) {
   }
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GE(draws, 100000000u);
-}
-
-TEST(Simulator, PendingTracksLiveEvents) {
-  Simulator sim;
-  const auto a = sim.schedule_at(1.0, [] {});
-  sim.schedule_at(2.0, [] {});
-  EXPECT_EQ(sim.pending(), 2u);
-  sim.cancel(a);
-  EXPECT_EQ(sim.pending(), 1u);
-  sim.run();
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.executed(), 1u);
 }
 
 // ---------- OnlineStats ----------
