@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
 #include "exec/error.hpp"
 #include "exec/metrics.hpp"
+#include "exec/rng_stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/schedule.hpp"
 #include "serve/service.hpp"
@@ -346,16 +349,19 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
 // different waves, some never do, and two localities replay a hard and a
 // soft fault.  The wave path must still complete sessions in the event
 // path's order, so the order-sensitive session statistics agree bitwise.
-ServeReport run_mixed_length_service(std::size_t threads, double horizon,
-                                     double slice_s) {
+holms::fault::FaultSchedule mixed_length_faults() {
   using holms::fault::FaultKind;
   using holms::fault::Target;
-  const holms::fault::FaultSchedule faults =
-      holms::fault::FaultSchedule::from_trace(
-          {{3.0, FaultKind::kFail, Target::kNode, 1},
-           {4.0, FaultKind::kSoftFail, Target::kNode, 2},
-           {9.0, FaultKind::kRepair, Target::kNode, 1},
-           {12.0, FaultKind::kScrub, Target::kNode, 2}});
+  return holms::fault::FaultSchedule::from_trace(
+      {{3.0, FaultKind::kFail, Target::kNode, 1},
+       {4.0, FaultKind::kSoftFail, Target::kNode, 2},
+       {9.0, FaultKind::kRepair, Target::kNode, 1},
+       {12.0, FaultKind::kScrub, Target::kNode, 2}});
+}
+
+ServeReport run_mixed_length_service(std::size_t threads, double horizon,
+                                     double slice_s) {
+  const holms::fault::FaultSchedule faults = mixed_length_faults();
   ServeOptions o;
   o.localities = 3;
   o.threads = threads;
@@ -568,6 +574,107 @@ TEST(Serve, FingerprintsArePinned) {
   EXPECT_EQ(run_mixed_service(1, 99).fingerprint(), 0x8783c80a0ff00ccbULL);
 }
 
+// 140 FGS sessions of seven slot lengths, mixed on every locality (zero- and
+// one-slot sessions among them), then four MPEG-2 decoder networks, under
+// the mixed-length fault trace.  Returns the report and, through
+// `calls_digest`, a digest of every observer call in (locality, time)
+// order, whatever order the workers made them in.
+ServeReport run_seven_slot_fleet(double quantum, double horizon,
+                                 double slice_s, std::size_t threads,
+                                 std::uint64_t& calls_digest) {
+  ServeOptions o;
+  o.localities = 3;
+  o.threads = threads;
+  o.max_sessions = 200;
+  o.degrade_watermark = 0.5;
+  o.seed = 77;
+  o.dispatch_quantum_s = quantum;
+  ServiceManager m(o);
+  const holms::fault::FaultSchedule faults = mixed_length_faults();
+  m.attach_fault_schedule(&faults);
+  const FgsPolicy policies[] = {FgsPolicy::kNonAdaptive,
+                                FgsPolicy::kClientFeedback,
+                                FgsPolicy::kGracefulDegradation};
+  const double slot_lengths[] = {0.5, 0.25, 0.3, 0.2, 1.0, 0.1, 0.75};
+  const std::size_t slots[] = {0, 1, 7, 10, 30, 50, 3};
+  for (std::size_t i = 0; i < 140; ++i) {
+    FgsConfig cfg;
+    cfg.slot_s = slot_lengths[(i / 3) % 7];
+    m.add_fgs_session(policies[i % 3], cfg, slots[i % 7]);
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    m.add_mpeg2_session(holms::stream::Mpeg2Config{},
+                        holms::traffic::VideoTraceGenerator::Params{}, 30);
+  }
+  // One call list per locality: a locality runs on one worker at a time.
+  using Call = std::tuple<std::size_t, double, std::uint64_t>;
+  std::vector<std::vector<Call>> per_locality(o.localities);
+  const ServeReport r = m.run(
+      horizon, slice_s,
+      [&per_locality](std::size_t li, double t, std::uint64_t events) {
+        per_locality[li].emplace_back(li, t, events);
+      });
+  std::vector<Call> calls;
+  for (const std::vector<Call>& v : per_locality) {
+    calls.insert(calls.end(), v.begin(), v.end());
+  }
+  std::sort(calls.begin(), calls.end());
+  auto mix = [](std::uint64_t h, std::uint64_t v) {
+    return holms::exec::splitmix64(h ^ holms::exec::splitmix64(v));
+  };
+  std::uint64_t h = mix(0, calls.size());
+  for (const auto& [li, t, events] : calls) {
+    h = mix(mix(mix(h, li), std::bit_cast<std::uint64_t>(t)), events);
+  }
+  calls_digest = h;
+  return r;
+}
+
+// Absolute pins of fleets whose slot lengths differ within a locality, with
+// and without a dispatch quantum: every slot of theirs must be dispatched
+// at the time, and every session completed in the order, that a DES of
+// every FGS step gives.  Each value holds at every slicing and thread
+// count; the observer digest pins the sliced runs' progress reports.
+TEST(Serve, EventPathFleetsArePinned) {
+  struct Pin {
+    double quantum;
+    double horizon;
+    std::uint64_t fingerprint;
+    std::uint64_t events;
+    std::size_t completed;
+    std::size_t lags;
+    std::uint64_t calls_digest;  // of the run sliced every 0.7 s
+  };
+  const Pin pins[] = {
+      {0.0, 5.0, 0x2c4ef78c42346b11ULL, 1163, 104, 0, 0x2a1540a4687bf1dfULL},
+      {0.0, 20.0, 0xe918abd7cccc4bb2ULL, 1809, 125, 0, 0xebd90261b8a1af36ULL},
+      {0.3, 5.0, 0x672418c73dbad599ULL, 1032, 104, 928, 0xc415121a1cac32c0ULL},
+      {0.3, 20.0, 0x945a3053dfe0555aULL, 1733, 125, 1608,
+       0x2152132cf9254c86ULL},
+      {0.75, 5.0, 0xe5eafd776f6ee1baULL, 767, 84, 683, 0xf19430701e401c5cULL},
+      {0.75, 20.0, 0x325b49259f05cc6fULL, 1557, 104, 1453,
+       0x248c1567365e897fULL},
+  };
+  for (const Pin& p : pins) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const double slice_s : {0.0, 0.7}) {
+        std::uint64_t digest = 0;
+        const ServeReport r = run_seven_slot_fleet(p.quantum, p.horizon,
+                                                   slice_s, threads, digest);
+        EXPECT_EQ(r.fingerprint(), p.fingerprint)
+            << "quantum " << p.quantum << ", horizon " << p.horizon
+            << ", slice " << slice_s << ", " << threads << " threads";
+        EXPECT_EQ(r.events_dispatched, p.events);
+        EXPECT_EQ(r.sessions_completed, p.completed);
+        EXPECT_EQ(r.dispatch_lag_s.count(), p.lags);
+        if (slice_s > 0.0) {
+          EXPECT_EQ(digest, p.calls_digest);
+        }
+      }
+    }
+  }
+}
+
 TEST(Serve, AdmissionCapRejectsBeyondMaxSessions) {
   ServeOptions o;
   o.localities = 2;
@@ -672,8 +779,9 @@ TEST(Serve, DispatchQuantumBatchesStepsAndRecordsLag) {
   EXPECT_GT(coarse.dispatch_lag_s.count(), 0u);
   EXPECT_LE(coarse.dispatch_lag_s.max(), 0.75);
   EXPECT_EQ(coarse.sessions_completed, 10u);
-  // Quantized dispatch is still deterministic.
+  // Quantized dispatch is still deterministic, and pinned.
   EXPECT_EQ(run_with_quantum(0.75).fingerprint(), coarse.fingerprint());
+  EXPECT_EQ(coarse.fingerprint(), 0x9271ed5d584e7030ULL);
 }
 
 // An FGS slot length that is NaN, negative, zero or infinite never reaches a
