@@ -339,8 +339,8 @@ void rng_draw_metrics(holms::bench::BenchReport& report) {
 }
 
 // Nanoseconds per FGS slot: one hot kGracefulDegradation session under a
-// SlotLossTrace of link fail/repair faults, driven as serve's wave path
-// drives it (run_slots, kSlotChunk slots per call).  Best of 3 sessions.
+// SlotLossTrace of link fail/repair faults, driven as serve drives it
+// (run_slots, kSlotChunk slots per call).  Best of 3 sessions.
 double fgs_slot_ns() {
   namespace st = holms::streaming;
   constexpr std::size_t kSlots = 1000000;

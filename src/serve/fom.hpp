@@ -10,7 +10,10 @@
 // and then *yields*, telling the scheduler when it must run next.  Sessions
 // are sharded across a fixed number of *localities* — independent scheduling
 // domains, each with its own DES kernel (`sim::Simulator`) and its own
-// statistics — and a worker pool runs localities, not sessions.  The result:
+// statistics — and a worker pool runs localities, not sessions.  The DES
+// carries the MPEG-2 decoder networks; an FGS session, whose slots fall due
+// at fixed times, takes its first step and then runs its due slots back to
+// back beside it (streaming::FgsSessionFom::run_slots).  The result:
 //
 //   * thread-per-session is replaced by state-machine-per-session, so tens
 //     of thousands of concurrent sessions cost memory, not threads;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "dvfs/dvfs.hpp"
@@ -15,8 +18,9 @@
 
 namespace holms::serve {
 
-// The ServiceManager schedules any machine speaking the step protocol; pin
-// the two concrete session types to it at compile time.
+// Both session machines speak the step protocol: the DES steps an MPEG-2
+// session event by event, and an FGS session takes its kInit step before
+// run_slots runs its slots.  Pin both types to it at compile time.
 static_assert(SessionFom<streaming::FgsSessionFom>);
 static_assert(SessionFom<stream::Mpeg2SessionFom>);
 
@@ -106,11 +110,12 @@ struct ServiceManager::Mpeg2Session {
   stream::Mpeg2SessionFom fom;
 };
 
-/// One scheduling domain: a private DES kernel, the sessions sharded onto
-/// it, its slice of the fault schedule, and its own statistics (merged into
-/// the ServeReport in locality-index order).  Sessions are declared after
-/// the Simulator so they are destroyed first — their pending events are then
-/// discarded, never invoked, by ~Simulator.
+/// One scheduling domain: a private DES kernel that carries its MPEG-2
+/// sessions, the FGS sessions that run beside it, its slice of the fault
+/// schedule, and its own statistics (merged into the ServeReport in
+/// locality-index order).  Sessions are declared after the Simulator so
+/// they are destroyed first — their pending events are then discarded,
+/// never invoked, by ~Simulator.
 struct ServiceManager::Locality {
   sim::Simulator sim;
   fault::FaultSchedule faults;  // kNode events addressed to this locality
@@ -214,31 +219,20 @@ std::size_t ServiceManager::add_mpeg2_session(
   return id;
 }
 
-double ServiceManager::next_dispatch(Locality& loc, double delay) {
-  double when = loc.sim.now() + delay;
-  if (opt_.dispatch_quantum_s > 0.0) {
-    const double q = opt_.dispatch_quantum_s;
-    const double aligned = std::ceil(when / q) * q;
-    loc.lag.add(aligned - when);
-    when = aligned;
-  }
-  return when;
-}
+/// The FGS sessions of one slot length on a locality.  Their slots fall due
+/// at times that follow from the slot length and the dispatch quantum
+/// alone, so they run in lockstep on one list of dispatch times: slot 0 at
+/// t = 0, where the kInit step leaves it, and slot j + 1 at aligned(slot j's
+/// time + slot_s), the times a DES chain of their steps would give them.
+struct ServiceManager::Cadence {
+  std::vector<FgsSession*> sessions;  // longest first, then by admission
+  std::vector<double> at{0.0};        // dispatch times computed so far
+  std::size_t due = 0;                // slots at[0, due) have run
+};
 
-void ServiceManager::pump_fgs(Locality& loc, FgsSession& s) {
-  const std::size_t before = s.fom.slots_done();
-  const double d = s.fom.step();
-  ++loc.events;
-  if (s.fom.slots_done() > before) {
-    loc.slot_psnr.add(s.fom.last_psnr_db());
-    loc.slot_load.add(s.fom.last_load());
-  }
-  if (d < 0.0) {
-    loc.complete_fgs(s.fom.report());
-    return;
-  }
-  loc.sim.schedule_at(next_dispatch(loc, d),
-                      [this, &loc, &s] { pump_fgs(loc, s); });
+double ServiceManager::aligned(double when) const {
+  const double q = opt_.dispatch_quantum_s;
+  return q > 0.0 ? std::ceil(when / q) * q : when;
 }
 
 void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
@@ -251,105 +245,116 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
     loc.mpeg2_frames_out += r.frames_out;
     return;
   }
-  loc.sim.schedule_at(next_dispatch(loc, d),
-                      [this, &loc, &s] { pump_mpeg2(loc, s); });
+  const double when = loc.sim.now() + d;
+  const double at = aligned(when);
+  if (opt_.dispatch_quantum_s > 0.0) loc.lag.add(at - when);
+  loc.sim.schedule_at(at, [this, &loc, &s] { pump_mpeg2(loc, s); });
 }
 
-// Wave scheduler: the session-major FGS path.  When a locality's FGS
-// sessions share one slot length and nothing observes intermediate time (no
-// slicing, no dispatch quantum), their events in the DES degenerate to
-// lockstep waves: every live session fires at t = 0, slot_s, 2*slot_s, ...
-// in admission order.  Sessions share no state, so rather than visit every
-// session once per wave, each session runs all its slots back to back
-// through FgsSessionFom::run_slots, kSlotChunk at a time into two stack
-// arrays, so memory does not grow with session length.  A locality's
-// per-session state is larger than L2 (a 2.5 KB Rng each, 2.5 MB per 1,024
-// sessions); session-major order fetches it once, not once per wave.  The
-// event count and every session's arithmetic are those of the event-driven
-// path.  The slot sketches ignore insertion order; the order-sensitive
-// session statistics are added afterwards in the DES completion order,
-// completion wave first and then admission index, so the ServeReport
-// fingerprint matches bitwise.  MPEG-2 sessions on the same locality stay in
-// the DES: they share only the integer event and completion counts with the
-// FGS sessions, feed statistics of their own, and no FGS event schedules
-// one of theirs, so their events keep their relative order without the FGS
-// events between them.
-void ServiceManager::run_locality_waves(Locality& loc, double horizon,
-                                        double slot_s) {
-  // t = 0: the kInit wave.  Zero-slot sessions finish here.
-  std::size_t longest = 0;
-  for (std::unique_ptr<FgsSession>& s : loc.fgs) {
-    s->fom.step();
-    ++loc.events;
-    longest = std::max(longest, s->fom.slots());
-  }
-  // The DES executes events with when <= horizon; each wave's timestamp
-  // accumulates exactly like the event chain's now() + slot_s.  Waves past
-  // the longest session would be empty, so the count stops there.
-  std::size_t waves = 0;
-  for (double t = 0.0; waves < longest && t <= horizon; t += slot_s) ++waves;
-
-  // (slots run, admission index): a session with n slots completes in wave
-  // n - 1, and a zero-slot one in the kInit wave before it.
-  std::vector<std::pair<std::size_t, std::size_t>> finished;
+// Sessions share no state, so rather than visit every session once per
+// dispatch time, each runs its due slots back to back through
+// FgsSessionFom::run_slots, kSlotChunk at a time into two stack arrays.  A
+// locality's per-session state is larger than L2 (a 2.5 KB Rng each, 2.5 MB
+// per 1,024 sessions); session-major order fetches it once per pass, not
+// once per slot.  The slot and lag sketches ignore insertion order.
+double ServiceManager::run_due_slots(Locality& loc,
+                                     std::map<double, Cadence>& cadences,
+                                     double t) {
+  double next = std::numeric_limits<double>::infinity();
   double psnr[streaming::kSlotChunk];
   double load[streaming::kSlotChunk];
-  for (std::size_t i = 0; i < loc.fgs.size(); ++i) {
-    streaming::FgsSessionFom& fom = loc.fgs[i]->fom;
-    std::size_t ran = 0;
-    while (ran < waves) {
-      const std::size_t n =
-          fom.run_slots(std::min(streaming::kSlotChunk, waves - ran), psnr,
-                        load);
-      if (n == 0) break;
-      for (std::size_t j = 0; j < n; ++j) {
-        loc.slot_psnr.add(psnr[j]);
-        loc.slot_load.add(load[j]);
+  for (auto& [slot_s, c] : cadences) {
+    const std::size_t longest = c.sessions.front()->fom.slots();
+    // at[due] exists whenever due < longest: it is the next slot's time.
+    std::size_t due = c.due;
+    while (due < longest && c.at[due] <= t) {
+      if (++due == c.at.size() && due < longest) {
+        c.at.push_back(aligned(c.at.back() + slot_s));
       }
-      ran += n;
     }
-    loc.events += ran;
-    if (fom.done()) finished.emplace_back(ran, i);
+    if (due < longest) next = std::min(next, c.at[due]);
+    const std::size_t from = std::exchange(c.due, due);
+    for (FgsSession* s : c.sessions) {
+      const std::size_t end = std::min(s->fom.slots(), due);
+      if (end <= from) break;  // nothing due for it or any shorter session
+      loc.events += end - from;
+      for (std::size_t j = from; j < end;) {
+        const std::size_t n = s->fom.run_slots(
+            std::min(streaming::kSlotChunk, end - j), psnr, load);
+        for (std::size_t k = 0; k < n; ++k, ++j) {
+          loc.slot_psnr.add(psnr[k]);
+          loc.slot_load.add(load[k]);
+          // Every slot but a session's last scheduled the next one.
+          if (opt_.dispatch_quantum_s > 0.0 && j + 1 < s->fom.slots()) {
+            loc.lag.add(c.at[j + 1] - (c.at[j] + slot_s));
+          }
+        }
+      }
+    }
   }
-  std::sort(finished.begin(), finished.end());
-  for (const auto& [ran, i] : finished) {
-    loc.complete_fgs(loc.fgs[i]->fom.report());
-  }
+  return next;
 }
 
+// One flow at every slicing and quantum: the DES carries the MPEG-2
+// sessions, and the FGS sessions run session-major beside it, slice by
+// slice.  MPEG-2 and FGS sessions share only the integer event and
+// completion counts and the order-insensitive lag sketch, and neither
+// schedules the other, so the MPEG-2 events keep the order they had with
+// every FGS step a DES event between them.
 void ServiceManager::run_locality(Locality& loc, std::size_t index,
                                   double horizon, double slice_s,
                                   const SliceObserver& observer) {
-  bool session_major = slice_s <= 0.0 && opt_.dispatch_quantum_s <= 0.0 &&
-                       !loc.fgs.empty();
-  const double slot_s = session_major ? loc.fgs.front()->fom.slot_s() : 0.0;
-  for (const std::unique_ptr<FgsSession>& s : loc.fgs) {
-    session_major = session_major && s->fom.slot_s() == slot_s;
-  }
-  if (session_major) {
-    run_locality_waves(loc, horizon, slot_s);
-  } else {
-    // Arm every FGS session's first step at t=0 in admission order; the
-    // kernel's (time, insertion) order then dispatches each wave of aligned
-    // slots in admission order.
-    for (std::unique_ptr<FgsSession>& s : loc.fgs) {
-      FgsSession* p = s.get();
-      loc.sim.schedule_at(0.0, [this, &loc, p] { pump_fgs(loc, *p); });
-    }
-  }
   for (std::unique_ptr<Mpeg2Session>& s : loc.mpeg2) {
     Mpeg2Session* p = s.get();
     loc.sim.schedule_at(0.0, [this, &loc, p] { pump_mpeg2(loc, *p); });
   }
-  if (slice_s > 0.0) {
-    double t = 0.0;
-    while (t < horizon) {
-      t = std::min(t + slice_s, horizon);
-      loc.sim.run(t);
-      if (observer) observer(index, loc.sim.now(), loc.events);
+  // t = 0: every kInit step.  Zero-slot sessions finish here; the others
+  // leave slot 0 due at t = 0, which is on every quantum grid.
+  std::map<double, Cadence> cadences;  // by slot length
+  for (std::unique_ptr<FgsSession>& s : loc.fgs) {
+    s->fom.step();
+    ++loc.events;
+    if (!s->fom.done() && opt_.dispatch_quantum_s > 0.0) loc.lag.add(0.0);
+    cadences[s->fom.slot_s()].sessions.push_back(s.get());
+  }
+  for (auto& [slot_s, c] : cadences) {
+    std::stable_sort(c.sessions.begin(), c.sessions.end(),
+                     [](const FgsSession* a, const FgsSession* b) {
+                       return a->fom.slots() > b->fom.slots();
+                     });
+  }
+
+  // One slice to the horizon when unsliced.  A slice in which no slot
+  // falls due skips the sessions, so an empty slice costs O(1).
+  double next_due = 0.0;
+  double t = 0.0;
+  do {
+    t = slice_s > 0.0 ? std::min(t + slice_s, horizon) : horizon;
+    if (next_due <= t) next_due = run_due_slots(loc, cadences, t);
+    loc.sim.run(t);
+    if (slice_s > 0.0 && observer) observer(index, loc.sim.now(), loc.events);
+  } while (t < horizon);
+
+  // Finished sessions join the order-sensitive session statistics in the
+  // DES order of their last steps, (time, insertion).  Zero-slot sessions
+  // finish at their kInit step, before any slot at t = 0.  At one time, a
+  // session with fewer slots has the longer period (on a quantum grid, more
+  // grid points per slot), so its previous step, which scheduled the last,
+  // ran earlier; sessions with as many slots share one chain of times,
+  // which goes back to the t = 0 slots, scheduled in admission order.  Ids
+  // are unique, so the sort never compares the session pointers.
+  std::vector<std::tuple<double, std::size_t, std::size_t, FgsSession*>>
+      finished;
+  for (const auto& [slot_s, c] : cadences) {
+    for (FgsSession* s : c.sessions) {
+      const std::size_t n = s->fom.slots();
+      if (!s->fom.done()) continue;
+      finished.emplace_back(n == 0 ? 0.0 : c.at[n - 1], n, s->id, s);
     }
-  } else {
-    loc.sim.run(horizon);
+  }
+  std::sort(finished.begin(), finished.end());
+  for (const auto& [at, n, id, s] : finished) {
+    loc.complete_fgs(s->fom.report());
   }
 }
 
@@ -360,6 +365,10 @@ ServeReport ServiceManager::run(double horizon, double slice_s,
   }
   if (!(horizon >= 0.0)) {
     throw holms::InvalidArgument("ServiceManager: horizon must be >= 0");
+  }
+  if (!(slice_s >= 0.0) || (slice_s > 0.0 && std::isinf(horizon))) {
+    throw holms::InvalidArgument(
+        "ServiceManager: slice_s must be >= 0, with a finite horizon if > 0");
   }
   ran_ = true;
 

@@ -1,8 +1,10 @@
 #pragma once
 // ServiceManager: a multi-tenant streaming server multiplexing many FGS and
 // MPEG-2 sessions as non-blocking state machines (serve/fom.hpp) over a
-// fixed set of localities, each a private DES kernel, run one locality per
-// index on an exec::ThreadPool (inline on the caller at one thread).
+// fixed set of localities, run one locality per index on an
+// exec::ThreadPool (inline on the caller at one thread).  A locality's
+// private DES kernel carries its MPEG-2 sessions; its FGS sessions, whose
+// slots fall due at fixed times, run session-major beside it.
 // DESIGN.md §5h.
 //
 // Determinism contract: session ids, per-session RNG streams
@@ -14,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -122,8 +125,11 @@ class ServiceManager {
 
   /// Runs every locality to `horizon` (one locality per pool task) and
   /// merges their statistics in index order.  `slice_s` > 0 pauses each
-  /// locality every `slice_s` of simulated time to invoke `observer`.
-  /// One-shot: a second call throws RuntimeError.
+  /// locality every `slice_s` of simulated time, once every step due by
+  /// then has run, to invoke `observer`.  Throws InvalidArgument, running
+  /// nothing, for a NaN or negative `horizon` or `slice_s`, or a sliced
+  /// run to an infinite horizon.  One-shot: a second call throws
+  /// RuntimeError.
   ServeReport run(double horizon, double slice_s = 0.0,
                   const SliceObserver& observer = {});
 
@@ -131,16 +137,19 @@ class ServiceManager {
   struct FgsSession;
   struct Mpeg2Session;
   struct Locality;
+  struct Cadence;
 
-  /// The time of a session's next step, `delay` after now on `loc`'s
-  /// kernel; with a dispatch quantum it is aligned up to the quantum grid
-  /// and the lag is recorded.
-  double next_dispatch(Locality& loc, double delay);
-  void pump_fgs(Locality& loc, FgsSession& s);
+  /// The dispatch time of a step due at `when`: with a dispatch quantum,
+  /// the next point of its grid.  Callers record the lag, aligned - when,
+  /// once per step they schedule.
+  double aligned(double when) const;
   void pump_mpeg2(Locality& loc, Mpeg2Session& s);
+  /// Runs every FGS slot on `loc` that falls due by `t` and returns the
+  /// time the next one falls due (infinity once none is left).
+  double run_due_slots(Locality& loc, std::map<double, Cadence>& cadences,
+                       double t);
   void run_locality(Locality& loc, std::size_t index, double horizon,
                     double slice_s, const SliceObserver& observer);
-  void run_locality_waves(Locality& loc, double horizon, double slot_s);
 
   ServeOptions opt_;
   std::vector<std::unique_ptr<Locality>> localities_;

@@ -4,7 +4,7 @@
 // This is the SystemC-equivalent substrate of HolMS's event-driven models
 // (DESIGN.md S1): the stream process networks, the Fig-1 stream system, the
 // MPEG-2 decoder network and the lip-sync model (stream/), and each serve
-// locality's dispatch of MPEG-2 and event-driven FGS sessions (serve/).
+// locality's MPEG-2 sessions (serve/).
 // Models schedule closures at absolute or relative times; the kernel
 // executes them in (time, insertion-order) order so simultaneous events are
 // deterministic.

@@ -257,22 +257,9 @@ double FgsSessionFom::step() {
       }
       phase_ = FgsFomPhase::kSlot;
       return kAgain;
-    case FgsFomPhase::kSlot: {
-      // One slot on stack storage, so the DES per-event path stays
-      // allocation-free.
-      double buf[kSlotFields];
-      buf[1] = loss_ != nullptr ? loss_->loss_for_slot(slot_) : 0.0;
-      channel_.fill_capacity_bps(std::span<double>(buf, 1));
-      run_slot_chunk(policy_, cfg_, cpu_, accum_, 1, buf, &last_psnr_,
-                     &last_load_);
-      ++slot_;
-      if (slot_ >= slots_) {
-        report_ = make_report(accum_);
-        phase_ = FgsFomPhase::kDone;
-        return kFinished;
-      }
-      return cfg_.slot_s;
-    }
+    case FgsFomPhase::kSlot:
+      run_slots(1, {&last_psnr_, 1}, {&last_load_, 1});
+      return done() ? kFinished : cfg_.slot_s;
     case FgsFomPhase::kDone:
       return kFinished;
   }

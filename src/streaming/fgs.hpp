@@ -172,11 +172,11 @@ enum class FgsFomPhase : std::uint8_t {
 /// simulated delay until the machine must run again — kAgain (0.0) to
 /// continue within the same timestamp, cfg.slot_s between slots, or a
 /// negative value (kFinished) once the session is done.  The FOM never
-/// blocks and holds no thread: a scheduler (serve::ServiceManager) parks it
-/// between steps as a DES event, so tens of thousands of sessions multiplex
-/// onto one locality.  A scheduler that has nothing to interleave between a
-/// session's slots runs them back to back with run_slots() instead.  The
-/// one-shot run_fgs_session() below is a thin driver over this machine.
+/// blocks and holds no thread, so tens of thousands of sessions multiplex
+/// onto one locality.  Its slots fall due at fixed times, so a scheduler
+/// need not park it between them: serve::ServiceManager takes the kInit
+/// step, then runs the slots due by each slice end back to back with
+/// run_slots().  The one-shot run_fgs_session() below steps it to the end.
 /// Every way of driving it produces bitwise-identical reports.
 ///
 /// Holds references to the client's Processor and ChannelTrace; the FOM must
@@ -200,13 +200,14 @@ class FgsSessionFom {
   /// load_out[j] receive slot j's PSNR and normalized load.  Throws
   /// RuntimeError before the kInit step, and InvalidArgument, running
   /// nothing, if either span is shorter than the slots it would run.
-  /// Bitwise what as many step() calls do: the loss cursor and channel
-  /// draws of up to kSlotChunk slots go first, then the slot routine runs
-  /// them.  serve's wave scheduler runs each session's slots back to back,
-  /// kSlotChunk per call, session by session, because a locality's
-  /// per-session state (Rng, CPU, accumulators) is larger than L2; it then
-  /// adds finished sessions to its statistics in the event-driven path's
-  /// completion order (completion wave, then admission index).
+  /// Bitwise what as many step() calls do (step()'s kSlot phase is
+  /// run_slots(1)): the loss cursor and channel draws of up to kSlotChunk
+  /// slots go first, then the slot routine runs them.  serve runs each
+  /// session's due slots back to back, kSlotChunk per call, session by
+  /// session, because a locality's per-session state (Rng, CPU,
+  /// accumulators) is larger than L2; it then adds finished sessions to
+  /// its statistics in the completion order of a DES of every step
+  /// (completion time, slots, admission index).
   std::size_t run_slots(std::size_t k, std::span<double> psnr_out,
                         std::span<double> load_out);
 

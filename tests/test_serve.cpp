@@ -305,9 +305,8 @@ TEST(Serve, AggregateReportIsThreadCountInvariant) {
   EXPECT_NE(run_mixed_service(1, 100).fingerprint(), base.fingerprint());
 }
 
-// A homogeneous FGS-only service (no slicing, no quantum) takes the wave
-// scheduler fast path; slicing forces the event-driven kernel.  Both must
-// produce the identical report, fingerprint and all.
+// A homogeneous FGS-only service, run in one slice to the horizon and in
+// 1-s slices: both must produce the identical report, fingerprint and all.
 ServeReport run_fgs_only_service(std::size_t threads, double slice_s) {
   ServeOptions o;
   o.localities = 4;
@@ -337,7 +336,7 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
   EXPECT_EQ(wave.slot_psnr_db.count(), 60u * 30u);
   EXPECT_EQ(wave.dispatch_lag_s.count(), 0u);
 
-  // The wave path is thread-count invariant like the event-driven one.
+  // The unsliced run is thread-count invariant like the sliced one.
   for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
     EXPECT_EQ(run_fgs_only_service(threads, 0.0).fingerprint(),
               wave.fingerprint())
@@ -345,10 +344,10 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
   }
 }
 
-// Sessions of mixed lengths under faults: some finish before the horizon in
-// different waves, some never do, and two localities replay a hard and a
-// soft fault.  The wave path must still complete sessions in the event
-// path's order, so the order-sensitive session statistics agree bitwise.
+// Sessions of mixed lengths under faults: some finish before the horizon at
+// different times, some never do, and two localities replay a hard and a
+// soft fault.  Sliced and unsliced runs must complete sessions in one order,
+// so the order-sensitive session statistics agree bitwise.
 holms::fault::FaultSchedule mixed_length_faults() {
   using holms::fault::FaultKind;
   using holms::fault::Target;
@@ -383,7 +382,7 @@ ServeReport run_mixed_length_service(std::size_t threads, double horizon,
 
 TEST(Serve, WavePathKeepsCompletionOrderUnderMixedSlotsAndFaults) {
   const ServeReport wave = run_mixed_length_service(1, 20.0, 0.0);
-  // 41 waves fit in 20 s: the 50-slot sessions are cut off.
+  // 41 slot times fit in 20 s: the 50-slot sessions are cut off.
   EXPECT_EQ(wave.sessions_completed, 72u);
   EXPECT_EQ(wave.events_dispatched, 1674u);
   EXPECT_EQ(wave.faults_in_window, 4u);
@@ -396,10 +395,22 @@ TEST(Serve, WavePathKeepsCompletionOrderUnderMixedSlotsAndFaults) {
       EXPECT_EQ(r.events_dispatched, wave.events_dispatched);
     }
   }
+
+  // Horizon 0 runs every t = 0 step, sliced or not: 90 kInit steps and
+  // slot 0 of the 72 sessions with slots; the 18 zero-slot ones complete.
+  const ServeReport at_zero = run_mixed_length_service(1, 0.0, 0.0);
+  EXPECT_EQ(at_zero.events_dispatched, 90u + 72u);
+  EXPECT_EQ(at_zero.sessions_completed, 18u);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const ServeReport r = run_mixed_length_service(threads, 0.0, 1.0);
+    EXPECT_EQ(r.fingerprint(), at_zero.fingerprint()) << threads << " threads";
+    EXPECT_EQ(r.events_dispatched, at_zero.events_dispatched);
+    EXPECT_EQ(r.sessions_completed, at_zero.sessions_completed);
+  }
 }
 
-// A horizon far past the last slot: the wave path stops with the longest
-// session instead of counting empty waves, and still matches the event path.
+// A horizon far past the last slot: the dispatch times stop with the longest
+// session instead of running on to the horizon, sliced or not.
 TEST(Serve, WavePathReturnsAtOnceOnAVeryLongHorizon) {
   const ServeReport wave = run_mixed_length_service(1, 1e12, 0.0);
   const ServeReport des = run_mixed_length_service(1, 1e12, 1e11);
@@ -408,9 +419,9 @@ TEST(Serve, WavePathReturnsAtOnceOnAVeryLongHorizon) {
   EXPECT_EQ(wave.events_dispatched, des.events_dispatched);
 }
 
-// One session far longer than kSlotChunk beside short ones: the wave path
+// One session far longer than kSlotChunk beside short ones: an unsliced run
 // runs it chunk after chunk, up to a horizon that cuts it mid-chunk and past
-// its end, and must match the event path both times.
+// its end, and must match a run in ten slices both times.
 ServeReport run_long_session_service(double horizon, double slice_s) {
   ServeOptions o;
   o.localities = 1;
@@ -427,7 +438,7 @@ ServeReport run_long_session_service(double horizon, double slice_s) {
 }
 
 TEST(Serve, WavePathRunsAVeryLongSessionInChunks) {
-  // 5000 s at 0.5-s slots is 10,001 waves: 156 chunks and 17 slots.
+  // 5000 s at 0.5-s slots is 10,001 slot times: 156 chunks and 17 slots.
   const double horizons[] = {5000.0, 1e7};
   const std::uint64_t events[] = {4 + 10001 + 5 + 193, 4 + 20000 + 5 + 193};
   const std::size_t completed[] = {3, 4};
@@ -446,13 +457,13 @@ TEST(Serve, WavePathRunsAVeryLongSessionInChunks) {
 
 // Mixed localities: FGS sessions of several lengths (0, under and over
 // kSlotChunk, and long) beside MPEG-2 decoder networks on every locality,
-// under a hard and a soft node fault.  Unsliced, the FGS sessions run
-// session-major and the DES carries only the MPEG-2 sessions; sliced, every
-// session is a DES event.  The 900-slot sessions complete inside the
-// horizon; the 2000-slot ones are cut mid-chunk by it.
+// under a hard and a soft node fault.  Sliced or not, the FGS sessions run
+// session-major and the DES carries only the MPEG-2 sessions.  The 900-slot
+// sessions complete inside the horizon; the 2000-slot ones are cut
+// mid-chunk by it.
 constexpr std::size_t kMixedFgsSessions = 45;
 constexpr std::size_t kMixedSlots[] = {0, 9, kSlotChunk + 3, 900, 2000};
-constexpr double kMixedHorizon = 600.0;  // 1201 waves at 0.5-s slots
+constexpr double kMixedHorizon = 600.0;  // 1201 slot times at 0.5 s
 
 holms::fault::FaultSchedule hard_and_soft_node_faults() {
   using holms::fault::FaultKind;
@@ -537,9 +548,9 @@ TEST(Serve, MixedLocalitiesRunFgsSessionMajorBesideMpeg2Bitwise) {
   EXPECT_EQ(ref.faults_in_window, 4u);
   EXPECT_GT(ref.mpeg2_frames_out, 0u);
   EXPECT_GT(ref.session_shed.max(), 0.0);
-  // Unsliced, each FGS session's kInit step and slots ran session-major and
-  // the DES carried only the MPEG-2 events; sliced, it carried all of them.
-  EXPECT_EQ(sliced_des - ref_des, kMixedFgsSessions + fgs_slots);
+  // Sliced or not, each FGS session's kInit step and slots run
+  // session-major and the DES carries only the MPEG-2 events.
+  EXPECT_EQ(sliced_des, ref_des);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const double slice_s : {0.0, 7.0}) {
@@ -565,10 +576,10 @@ TEST(Serve, MixedLocalitiesRunFgsSessionMajorBesideMpeg2Bitwise) {
   }
 }
 
-// Absolute pins of both serve paths: the wave path (FGS channel draws:
-// bernoulli and normal) and the event-driven path with MPEG-2 sessions (also
-// lognormal frame sizes).  The tests above compare reports with each other,
-// so only these catch a draw stream that moves.
+// Absolute pins of an FGS-only fleet (FGS channel draws: bernoulli and
+// normal) and of FGS beside MPEG-2 sessions (also lognormal frame sizes).
+// The tests above mostly compare reports with each other, so these catch a
+// draw stream that moves.
 TEST(Serve, FingerprintsArePinned) {
   EXPECT_EQ(run_fgs_only_service(1, 0.0).fingerprint(), 0xfd5622249e196ae3ULL);
   EXPECT_EQ(run_mixed_service(1, 99).fingerprint(), 0x8783c80a0ff00ccbULL);
@@ -824,7 +835,18 @@ TEST(Serve, ValidatesOptionsAndIsOneShot) {
   o.threads = 1;
   ServiceManager m(o);
   m.add_fgs_session(FgsPolicy::kClientFeedback, FgsConfig{}, 2);
-  m.run(2.0);
+  // A bad horizon or slice length throws before anything runs, so the
+  // manager stays runnable: a slice length must be 0 (unsliced) or
+  // positive, and a sliced run needs a finite horizon to end.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double slice_s : {nan, -1.0}) {
+    EXPECT_THROW(m.run(2.0, slice_s), holms::InvalidArgument) << slice_s;
+  }
+  EXPECT_THROW(m.run(inf, 1.0), holms::InvalidArgument);
+  EXPECT_THROW(m.run(nan), holms::InvalidArgument);
+  EXPECT_THROW(m.run(-1.0), holms::InvalidArgument);
+  EXPECT_EQ(m.run(2.0).sessions_completed, 1u);
   EXPECT_THROW(m.run(2.0), holms::RuntimeError);
 }
 
