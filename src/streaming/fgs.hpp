@@ -217,8 +217,8 @@ class FgsSessionFom {
   std::size_t slots_done() const { return slot_; }
   double slot_s() const { return cfg_.slot_s; }
 
-  /// Telemetry of the most recent completed slot (serve feeds these into
-  /// its streaming quantile sketches without touching the accumulators).
+  /// Telemetry of the most recent completed slot, for a driver that steps
+  /// slot by slot (run_slots hands out every slot's values instead).
   double last_psnr_db() const { return last_psnr_; }
   double last_load() const { return last_load_; }
 

@@ -344,10 +344,7 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
   }
 }
 
-// Sessions of mixed lengths under faults: some finish before the horizon at
-// different times, some never do, and two localities replay a hard and a
-// soft fault.  Sliced and unsliced runs must complete sessions in one order,
-// so the order-sensitive session statistics agree bitwise.
+// A hard fault on locality 1 and a soft one, scrubbed later, on locality 2.
 holms::fault::FaultSchedule mixed_length_faults() {
   using holms::fault::FaultKind;
   using holms::fault::Target;
@@ -358,6 +355,10 @@ holms::fault::FaultSchedule mixed_length_faults() {
        {12.0, FaultKind::kScrub, Target::kNode, 2}});
 }
 
+// Sessions of mixed lengths under faults: some finish before the horizon at
+// different times, some never do, and two localities replay a hard and a
+// soft fault.  Sliced and unsliced runs must complete sessions in one order,
+// so the order-sensitive session statistics agree bitwise.
 ServeReport run_mixed_length_service(std::size_t threads, double horizon,
                                      double slice_s) {
   const holms::fault::FaultSchedule faults = mixed_length_faults();
@@ -501,7 +502,7 @@ ServeReport run_mixed_locality_service(std::size_t threads, double slice_s) {
 }
 
 // Runs the mixed-locality service and returns the events its DES kernels
-// executed: FOM steps plus the MPEG-2 decoder networks' own events.
+// executed: the MPEG-2 sessions' steps and their decoder networks' events.
 std::uint64_t des_events(std::size_t threads, double slice_s,
                          ServeReport& out) {
   holms::exec::MetricsRegistry reg;
