@@ -318,10 +318,11 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
     cadences[s->fom.slot_s()].sessions.push_back(s.get());
   }
   for (auto& [slot_s, c] : cadences) {
-    std::stable_sort(c.sessions.begin(), c.sessions.end(),
-                     [](const FgsSession* a, const FgsSession* b) {
-                       return a->fom.slots() > b->fom.slots();
-                     });
+    std::sort(c.sessions.begin(), c.sessions.end(),
+              [](const FgsSession* a, const FgsSession* b) {
+                return std::tuple(b->fom.slots(), a->id) <
+                       std::tuple(a->fom.slots(), b->id);
+              });
   }
 
   // One slice to the horizon when unsliced.  A slice in which no slot
@@ -345,6 +346,7 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
   // are unique, so the sort never compares the session pointers.
   std::vector<std::tuple<double, std::size_t, std::size_t, FgsSession*>>
       finished;
+  finished.reserve(loc.fgs.size());
   for (const auto& [slot_s, c] : cadences) {
     for (FgsSession* s : c.sessions) {
       const std::size_t n = s->fom.slots();
