@@ -117,9 +117,21 @@ struct ServiceManager::Mpeg2Session {
 /// they are destroyed first — their pending events are then discarded,
 /// never invoked, by ~Simulator.
 struct ServiceManager::Locality {
+  /// The FGS sessions of one slot length.  Their slots fall due at times
+  /// that follow from the slot length and the dispatch quantum alone, so
+  /// they run in lockstep on one list of dispatch times: slot 0 at t = 0,
+  /// where the kInit step leaves it, and slot j + 1 at aligned(slot j's
+  /// time + slot_s), the times a DES chain of their steps would give them.
+  struct Cadence {
+    // In admission order until run() sorts them longest first.
+    std::vector<std::unique_ptr<FgsSession>> sessions;
+    std::vector<double> at{0.0};  // dispatch times computed so far
+    std::size_t due = 0;          // slots at[0, due) have run
+  };
+
   sim::Simulator sim;
   fault::FaultSchedule faults;  // kNode events addressed to this locality
-  std::vector<std::unique_ptr<FgsSession>> fgs;
+  std::map<double, Cadence> fgs;  // FGS sessions by slot length
   std::vector<std::unique_ptr<Mpeg2Session>> mpeg2;
 
   /// Adds a finished FGS session to the order-sensitive session statistics.
@@ -194,7 +206,7 @@ std::size_t ServiceManager::add_fgs_session(streaming::FgsPolicy policy,
     ++degraded_;
   }
   Locality& loc = *localities_[id % localities_.size()];
-  loc.fgs.push_back(std::make_unique<FgsSession>(
+  loc.fgs[cfg.slot_s].sessions.push_back(std::make_unique<FgsSession>(
       id, effective, cfg, slots, opt_.seed,
       loc.faults.empty() ? nullptr : &loc.faults, opt_.fault_loss));
   ++admitted_;
@@ -218,17 +230,6 @@ std::size_t ServiceManager::add_mpeg2_session(
   ++admitted_;
   return id;
 }
-
-/// The FGS sessions of one slot length on a locality.  Their slots fall due
-/// at times that follow from the slot length and the dispatch quantum
-/// alone, so they run in lockstep on one list of dispatch times: slot 0 at
-/// t = 0, where the kInit step leaves it, and slot j + 1 at aligned(slot j's
-/// time + slot_s), the times a DES chain of their steps would give them.
-struct ServiceManager::Cadence {
-  std::vector<FgsSession*> sessions;  // longest first, then by admission
-  std::vector<double> at{0.0};        // dispatch times computed so far
-  std::size_t due = 0;                // slots at[0, due) have run
-};
 
 double ServiceManager::aligned(double when) const {
   const double q = opt_.dispatch_quantum_s;
@@ -257,13 +258,12 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
 // locality's per-session state is larger than L2 (a 2.5 KB Rng each, 2.5 MB
 // per 1,024 sessions); session-major order fetches it once per pass, not
 // once per slot.  The slot and lag sketches ignore insertion order.
-double ServiceManager::run_due_slots(Locality& loc,
-                                     std::map<double, Cadence>& cadences,
-                                     double t) {
+double ServiceManager::run_due_slots(Locality& loc, double t) {
+  const bool quantized = opt_.dispatch_quantum_s > 0.0;
   double next = std::numeric_limits<double>::infinity();
   double psnr[streaming::kSlotChunk];
   double load[streaming::kSlotChunk];
-  for (auto& [slot_s, c] : cadences) {
+  for (auto& [slot_s, c] : loc.fgs) {
     const std::size_t longest = c.sessions.front()->fom.slots();
     // at[due] exists whenever due < longest: it is the next slot's time.
     std::size_t due = c.due;
@@ -274,20 +274,23 @@ double ServiceManager::run_due_slots(Locality& loc,
     }
     if (due < longest) next = std::min(next, c.at[due]);
     const std::size_t from = std::exchange(c.due, due);
-    for (FgsSession* s : c.sessions) {
+    for (const std::unique_ptr<FgsSession>& s : c.sessions) {
       const std::size_t end = std::min(s->fom.slots(), due);
       if (end <= from) break;  // nothing due for it or any shorter session
       loc.events += end - from;
       for (std::size_t j = from; j < end;) {
         const std::size_t n = s->fom.run_slots(
             std::min(streaming::kSlotChunk, end - j), psnr, load);
-        for (std::size_t k = 0; k < n; ++k, ++j) {
+        for (std::size_t k = 0; k < n; ++k) {
           loc.slot_psnr.add(psnr[k]);
           loc.slot_load.add(load[k]);
-          // Every slot but a session's last scheduled the next one.
-          if (opt_.dispatch_quantum_s > 0.0 && j + 1 < s->fom.slots()) {
-            loc.lag.add(c.at[j + 1] - (c.at[j] + slot_s));
-          }
+        }
+        j += n;
+      }
+      // Every slot but a session's last scheduled the next one.
+      if (quantized) {
+        for (std::size_t j = from; j < std::min(end, s->fom.slots() - 1); ++j) {
+          loc.lag.add(c.at[j + 1] - (c.at[j] + slot_s));
         }
       }
     }
@@ -309,20 +312,21 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
     loc.sim.schedule_at(0.0, [this, &loc, p] { pump_mpeg2(loc, *p); });
   }
   // t = 0: every kInit step.  Zero-slot sessions finish here; the others
-  // leave slot 0 due at t = 0, which is on every quantum grid.
-  std::map<double, Cadence> cadences;  // by slot length
-  for (std::unique_ptr<FgsSession>& s : loc.fgs) {
-    s->fom.step();
-    ++loc.events;
-    if (!s->fom.done() && opt_.dispatch_quantum_s > 0.0) loc.lag.add(0.0);
-    cadences[s->fom.slot_s()].sessions.push_back(s.get());
-  }
-  for (auto& [slot_s, c] : cadences) {
+  // leave slot 0 due at t = 0, which is on every quantum grid.  Longest
+  // first, a pass stops at the first session with nothing due.
+  std::size_t sessions = 0;
+  for (auto& [slot_s, c] : loc.fgs) {
     std::sort(c.sessions.begin(), c.sessions.end(),
-              [](const FgsSession* a, const FgsSession* b) {
+              [](const auto& a, const auto& b) {
                 return std::tuple(b->fom.slots(), a->id) <
                        std::tuple(a->fom.slots(), b->id);
               });
+    for (const std::unique_ptr<FgsSession>& s : c.sessions) {
+      s->fom.step();
+      ++loc.events;
+      if (!s->fom.done() && opt_.dispatch_quantum_s > 0.0) loc.lag.add(0.0);
+    }
+    sessions += c.sessions.size();
   }
 
   // One slice to the horizon when unsliced.  A slice in which no slot
@@ -331,7 +335,7 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
   double t = 0.0;
   do {
     t = slice_s > 0.0 ? std::min(t + slice_s, horizon) : horizon;
-    if (next_due <= t) next_due = run_due_slots(loc, cadences, t);
+    if (next_due <= t) next_due = run_due_slots(loc, t);
     loc.sim.run(t);
     if (slice_s > 0.0 && observer) observer(index, loc.sim.now(), loc.events);
   } while (t < horizon);
@@ -346,12 +350,12 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
   // are unique, so the sort never compares the session pointers.
   std::vector<std::tuple<double, std::size_t, std::size_t, FgsSession*>>
       finished;
-  finished.reserve(loc.fgs.size());
-  for (const auto& [slot_s, c] : cadences) {
-    for (FgsSession* s : c.sessions) {
+  finished.reserve(sessions);
+  for (const auto& [slot_s, c] : loc.fgs) {
+    for (const std::unique_ptr<FgsSession>& s : c.sessions) {
       const std::size_t n = s->fom.slots();
       if (!s->fom.done()) continue;
-      finished.emplace_back(n == 0 ? 0.0 : c.at[n - 1], n, s->id, s);
+      finished.emplace_back(n == 0 ? 0.0 : c.at[n - 1], n, s->id, s.get());
     }
   }
   std::sort(finished.begin(), finished.end());

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -137,7 +136,6 @@ class ServiceManager {
   struct FgsSession;
   struct Mpeg2Session;
   struct Locality;
-  struct Cadence;
 
   /// The dispatch time of a step due at `when`: with a dispatch quantum,
   /// the next point of its grid.  Callers record the lag, aligned - when,
@@ -146,8 +144,7 @@ class ServiceManager {
   void pump_mpeg2(Locality& loc, Mpeg2Session& s);
   /// Runs every FGS slot on `loc` that falls due by `t` and returns the
   /// time the next one falls due (infinity once none is left).
-  double run_due_slots(Locality& loc, std::map<double, Cadence>& cadences,
-                       double t);
+  double run_due_slots(Locality& loc, double t);
   void run_locality(Locality& loc, std::size_t index, double horizon,
                     double slice_s, const SliceObserver& observer);
 
