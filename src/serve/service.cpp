@@ -134,14 +134,6 @@ struct ServiceManager::Locality {
   std::map<double, Cadence> fgs;  // FGS sessions by slot length
   std::vector<std::unique_ptr<Mpeg2Session>> mpeg2;
 
-  /// Adds a finished FGS session to the order-sensitive session statistics.
-  void complete_fgs(const streaming::FgsReport& r) {
-    ++completed;
-    session_psnr.add(r.mean_psnr_db);
-    session_energy.add(r.client_total_energy_j);
-    session_shed.add(r.mean_enhancement_shed);
-  }
-
   std::uint64_t events = 0;
   std::size_t completed = 0;
   sim::OnlineStats session_psnr;
@@ -360,7 +352,11 @@ void ServiceManager::run_locality(Locality& loc, std::size_t index,
   }
   std::sort(finished.begin(), finished.end());
   for (const auto& [at, n, id, s] : finished) {
-    loc.complete_fgs(s->fom.report());
+    const streaming::FgsReport& r = s->fom.report();
+    ++loc.completed;
+    loc.session_psnr.add(r.mean_psnr_db);
+    loc.session_energy.add(r.client_total_energy_j);
+    loc.session_shed.add(r.mean_enhancement_shed);
   }
 }
 

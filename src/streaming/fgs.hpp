@@ -217,7 +217,7 @@ class FgsSessionFom {
   std::size_t slots_done() const { return slot_; }
   double slot_s() const { return cfg_.slot_s; }
 
-  /// Telemetry of the most recent completed slot, for a driver that steps
+  /// Telemetry of the most recent completed slot, for a caller that steps
   /// slot by slot (run_slots hands out every slot's values instead).
   double last_psnr_db() const { return last_psnr_; }
   double last_load() const { return last_load_; }
