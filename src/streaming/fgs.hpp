@@ -215,7 +215,6 @@ class FgsSessionFom {
   FgsFomPhase phase() const { return phase_; }
   std::size_t slots() const { return slots_; }
   std::size_t slots_done() const { return slot_; }
-  double slot_s() const { return cfg_.slot_s; }
 
   /// Telemetry of the most recent completed slot, for a caller that steps
   /// slot by slot (run_slots hands out every slot's values instead).
